@@ -22,11 +22,12 @@ docs/metrics.schema.json's contract:
     (admitted == completed + rejected + deadline_missed) and the
     serve.batch.rows histogram saw every dispatched batch
     (count == serve.batches);
-  * triple-ledger consistency (only when the export carries triple.*
-    counters, i.e. the run prefetched material): per kind,
-    triple.produced.<kind> == triple.consumed.<kind> + the
-    triple.store.depth.<kind> gauge — every dealt entry was either
-    consumed online or is still buffered, none vanished;
+  * triple-ledger consistency (whenever the export carries triple.*
+    counters, i.e. the run dealt material, synchronously or
+    prefetched): per kind, triple.produced.<kind> ==
+    triple.consumed.<kind> + the triple.store.depth.<kind> gauge —
+    every dealt entry was either consumed online or is still buffered,
+    none vanished;
   * training-ledger consistency (only when the export carries train.*
     counters, i.e. a --task train-serve run): gradient coordinates
     (submitted == aggregated + trimmed), owner submissions
@@ -170,12 +171,15 @@ def check_serve_section(metrics):
 
 
 def check_triple_section(metrics):
-    """Preprocessing-ledger invariants, skipped for sync-dealing runs.
+    """Preprocessing-ledger invariants, for every run that dealt material.
 
     The TripleStore counts every entry it deals (produced) and every
     entry the online phase pops (consumed); whatever remains buffered
     is the store-depth gauge.  An imbalance means material was dealt
-    and lost, or served twice.
+    and lost, or served twice.  Synchronous dealing goes through the
+    same store at depth 0, so there produced == consumed ==
+    triple.store.miss.  Only exports with no triple counters at all
+    (runs that dealt nothing) skip the check.
     """
     counters = metrics["counters"]
     if not any(name.startswith("triple.produced.") for name in counters):

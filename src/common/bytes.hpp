@@ -63,6 +63,9 @@ class ByteWriter {
   /// Bulk little-endian append of `count` 64-bit words (fast path for
   /// tensor payloads).
   void write_u64_span(const std::uint64_t* values, std::size_t count) {
+    if (count == 0) {
+      return;  // an empty tensor's data() may be null: no memcpy from it
+    }
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old_size = buffer_.size();
       buffer_.resize(old_size + count * 8);
@@ -160,6 +163,9 @@ class ByteReader {
 
   /// Bulk little-endian read of `count` 64-bit words.
   void read_u64_span(std::uint64_t* values, std::size_t count) {
+    if (count == 0) {
+      return;  // an empty tensor's data() may be null: no memcpy into it
+    }
     if (count > remaining() / 8) {
       throw SerializationError("u64 span length exceeds payload");
     }

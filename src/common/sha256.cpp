@@ -260,7 +260,9 @@ Sha256Digest finish_from(State state, const std::uint8_t* rest,
   rest_size -= full * 64;
 
   std::uint8_t pad[128] = {0};
-  std::memcpy(pad, rest, rest_size);
+  if (rest_size != 0) {  // an empty message's data pointer may be null
+    std::memcpy(pad, rest, rest_size);
+  }
   pad[rest_size] = 0x80;
   const std::size_t pad_blocks = rest_size < 56 ? 1 : 2;
   const std::uint64_t bit_length = total_bytes * 8;

@@ -26,6 +26,25 @@ std::string pred_tag(std::size_t step) {
   return "pred/" + std::to_string(step);
 }
 
+/// Offline phase of a one-shot job: size the store from the exact
+/// per-batch demand, warm it synchronously, then keep it topped up in
+/// the background while the online steps run (no-ops without
+/// prefetch).
+void prepare_pipeline(TriplePipeline& pipeline, const nn::ModelSpec& spec,
+                      const EngineConfig& config,
+                      const std::vector<data::Dataset>& batches,
+                      bool training) {
+  std::vector<std::size_t> batch_rows;
+  batch_rows.reserve(batches.size());
+  for (const auto& batch : batches) {
+    batch_rows.push_back(batch.size());
+  }
+  pipeline.plan(profile_job_demand(spec, batch_rows,
+                                   config.resolved_trunc_mode(), training));
+  pipeline.warm();
+  pipeline.start();
+}
+
 }  // namespace
 
 void share_parameters(nn::Sequential& model, net::Endpoint endpoint,
@@ -148,27 +167,14 @@ mpc::DetectionLog infer_computing_party_body(const InferJob& job, int party,
   OwnerLink link(endpoint, party, kActorTimeout);
   SecureModel model(job.spec, receive_parameters(endpoint, job.param_count));
 
+  TriplePipeline pipeline(job.config, link, party, /*training=*/false);
+  prepare_pipeline(pipeline, job.spec, job.config, job.batches,
+                   /*training=*/false);
+
   mpc::PartyContext pctx =
       make_party_context(job.config, party, endpoint, adversary);
-  SecureExecContext sctx = make_exec_context(job.config, pctx, link);
-
-  // Offline phase: size the stores from the exact per-batch demand,
-  // warm them synchronously, then keep them topped up in the
-  // background while the online steps run.
-  TriplePipeline pipeline(job.config, link, party, /*training=*/false);
-  if (pipeline.active()) {
-    std::vector<std::size_t> batch_rows;
-    batch_rows.reserve(job.batches.size());
-    for (const auto& batch : job.batches) {
-      batch_rows.push_back(batch.size());
-    }
-    pipeline.plan(profile_job_demand(job.spec, batch_rows,
-                                     job.config.resolved_trunc_mode(),
-                                     /*training=*/false));
-    pipeline.warm();
-    pipeline.start();
-    sctx.triples = &pipeline.source();
-  }
+  SecureExecContext sctx =
+      make_exec_context(job.config, pctx, link, pipeline.store());
 
   for (std::size_t step = 0; step < job.batches.size(); ++step) {
     ByteReader reader(
@@ -248,24 +254,14 @@ mpc::DetectionLog train_computing_party_body(const TrainJob& job, int party,
   OwnerLink link(endpoint, party, kActorTimeout);
   SecureModel model(job.spec, receive_parameters(endpoint, job.param_count));
 
+  TriplePipeline pipeline(job.config, link, party, /*training=*/true);
+  prepare_pipeline(pipeline, job.spec, job.config, job.batches,
+                   /*training=*/true);
+
   mpc::PartyContext pctx =
       make_party_context(job.config, party, endpoint, adversary);
-  SecureExecContext sctx = make_exec_context(job.config, pctx, link);
-
-  TriplePipeline pipeline(job.config, link, party, /*training=*/true);
-  if (pipeline.active()) {
-    std::vector<std::size_t> batch_rows;
-    batch_rows.reserve(job.batches.size());
-    for (const auto& batch : job.batches) {
-      batch_rows.push_back(batch.size());
-    }
-    pipeline.plan(profile_job_demand(job.spec, batch_rows,
-                                     job.config.resolved_trunc_mode(),
-                                     /*training=*/true));
-    pipeline.warm();
-    pipeline.start();
-    sctx.triples = &pipeline.source();
-  }
+  SecureExecContext sctx =
+      make_exec_context(job.config, pctx, link, pipeline.store());
 
   std::size_t epoch = 0;
   for (std::size_t step = 0; step < job.batches.size(); ++step) {

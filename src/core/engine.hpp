@@ -98,8 +98,6 @@ struct EngineConfig {
   /// Producer refill trigger: a store is refilled when its depth falls
   /// below this fraction of its per-shape target.
   double triple_low_water = 0.5;
-  /// Entries fetched per refill round trip (per shape class).
-  std::size_t triple_refill_batch = 32;
   /// Cap on any one shape class's store target (bounds memory for
   /// long jobs; the producer keeps refilling as entries are consumed).
   std::size_t triple_max_depth = 32;
@@ -166,9 +164,11 @@ mpc::PartyContext make_party_context(const EngineConfig& config, int party,
                                      mpc::AdversaryHooks* adversary = nullptr);
 
 /// Build the layer-execution context over an already-built party
-/// context and owner link; propagates trunc_mode and batch_openings.
+/// context, owner link (Softmax outsourcing) and triple store
+/// (preprocessing material); propagates trunc_mode and batch_openings.
 SecureExecContext make_exec_context(const EngineConfig& config,
-                                    mpc::PartyContext& pctx, OwnerLink& link);
+                                    mpc::PartyContext& pctx, OwnerLink& link,
+                                    mpc::TripleStore& triples);
 
 class TrustDdlEngine {
  public:

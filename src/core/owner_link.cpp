@@ -77,33 +77,6 @@ mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
   return batch;
 }
 
-mpc::MaterialBatch OwnerLink::next_single(const mpc::TripleKey& key) {
-  std::uint64_t index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    index = stream_cursor_[key]++;
-  }
-  return fill(key, index, 1);
-}
-
-mpc::BeaverTripleShare OwnerLink::mul_triple(const Shape& shape) {
-  return std::move(next_single(mpc::TripleKey::mul(shape)).triples.at(0));
-}
-
-mpc::BeaverTripleShare OwnerLink::matmul_triple(std::size_t m, std::size_t k,
-                                                std::size_t n) {
-  return std::move(
-      next_single(mpc::TripleKey::matmul(m, k, n)).triples.at(0));
-}
-
-mpc::PartyShare OwnerLink::comp_aux(const Shape& shape) {
-  return std::move(next_single(mpc::TripleKey::comp_aux(shape)).aux.at(0));
-}
-
-mpc::TruncPairShare OwnerLink::trunc_pair(const Shape& shape) {
-  return std::move(next_single(mpc::TripleKey::trunc_pair(shape)).pairs.at(0));
-}
-
 mpc::PartyShare OwnerLink::softmax_forward(const mpc::PartyShare& logits) {
   ByteWriter request;
   request.write_u8(static_cast<std::uint8_t>(OwnerOp::kSoftmaxForward));

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "mpc/beaver.hpp"
 #include "net/network.hpp"
@@ -46,7 +45,7 @@ enum class OwnerOp : std::uint8_t {
   kStop = 7,
 };
 
-class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
+class OwnerLink final : public mpc::TripleBackend {
  public:
   OwnerLink(net::Endpoint endpoint, int party,
             std::chrono::milliseconds response_timeout =
@@ -57,18 +56,9 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
 
   /// TripleBackend: fetch entries [start, start+count) of `key` in one
   /// round trip.  Thread-safe (prefetch producer + protocol thread).
+  /// The party's TripleStore is the only caller.
   mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
                           std::size_t count) override;
-
-  // TripleSource — synchronous single-entry convenience over fill();
-  // each key's entries are handed out in stream order starting at 0,
-  // so a link used directly (no store) matches a store-backed run bit
-  // for bit.
-  mpc::BeaverTripleShare mul_triple(const Shape& shape) override;
-  mpc::BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                       std::size_t n) override;
-  mpc::PartyShare comp_aux(const Shape& shape) override;
-  mpc::TruncPairShare trunc_pair(const Shape& shape) override;
 
   /// Outsourced Softmax forward: send logit shares, receive fresh
   /// shares of the probabilities (collective op — the owner combines
@@ -103,9 +93,6 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
   Bytes collective_roundtrip(Bytes request);
   void collective_send(Bytes request);
 
-  /// Single-entry TripleSource access: fill(cursor++, 1) for the key.
-  mpc::MaterialBatch next_single(const mpc::TripleKey& key);
-
   net::Endpoint endpoint_;
   int party_;
   std::chrono::milliseconds response_timeout_;
@@ -113,9 +100,6 @@ class OwnerLink final : public mpc::TripleSource, public mpc::TripleBackend {
   mutable std::mutex mu_;
   std::uint64_t unary_counter_ = 0;
   std::uint64_t collective_counter_ = 0;
-  /// Per-key stream cursor for direct (store-less) TripleSource use.
-  std::unordered_map<mpc::TripleKey, std::uint64_t, mpc::TripleKeyHash>
-      stream_cursor_;
 };
 
 }  // namespace trustddl::core

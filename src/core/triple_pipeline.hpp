@@ -7,28 +7,27 @@
 //    (kind, shape) material a forward/backward/sgd step consumes —
 //    the same arithmetic the Secure* layers perform, so a warm store
 //    holds precisely what the online phase will pop;
-//  * a TripleStore over the party's OwnerLink-as-backend, with
+//  * the party's TripleStore over its backend (the OwnerLink), with
 //    optional disk persistence (material survives restarts);
 //  * warm() — the synchronous offline phase — and a background
 //    producer thread that keeps stores above the low-water mark while
 //    the online phase runs.
 //
-// When prefetch and persistence are both disabled the pipeline is
-// inert and source() hands back the link itself: the synchronous
-// dealing path, bit-identical to the store-backed one (both consume
-// each per-key stream in order from index 0).
+// The store is the online phase's only source of material.  With
+// prefetch off nothing refills it, so every pop misses and fetches one
+// entry from the backend: the synchronous dealing path, bit-identical
+// to the prefetched one (both consume each per-key stream in order
+// from index 0).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/owner_link.hpp"
 #include "mpc/robust_aggregate.hpp"
 #include "mpc/triple_store.hpp"
 #include "nn/model_zoo.hpp"
@@ -78,24 +77,17 @@ DemandPlan profile_train_round_demand(
 
 class TriplePipeline {
  public:
-  /// Builds the store when EngineConfig enables prefetch and/or
-  /// persistence; otherwise stays inert.  Loads a persisted store for
-  /// this party/role if one exists under triple_store_dir.
-  TriplePipeline(const EngineConfig& config, OwnerLink& link, int party,
-                 bool training);
+  /// Builds the party's store over `backend` and restores a persisted
+  /// store for this party/role if one exists under triple_store_dir.
+  TriplePipeline(const EngineConfig& config, mpc::TripleBackend& backend,
+                 int party, bool training);
   ~TriplePipeline();
 
   TriplePipeline(const TriplePipeline&) = delete;
   TriplePipeline& operator=(const TriplePipeline&) = delete;
 
-  /// False when the pipeline is pass-through (source() == the link).
-  bool active() const { return store_ != nullptr; }
-
-  /// What the online phase should consume from.
-  mpc::TripleSource& source();
-
-  /// The underlying store; nullptr when inactive.
-  mpc::TripleStore* store() { return store_.get(); }
+  /// What the online phase consumes from.
+  mpc::TripleStore& store() { return store_; }
 
   /// Raise per-key targets from a demand plan (each capped at
   /// EngineConfig::triple_max_depth).
@@ -109,14 +101,15 @@ class TriplePipeline {
                  std::size_t depth_factor);
 
   /// Synchronous offline phase: refill every store to target.  Returns
-  /// entries fetched.  No-op when inactive.
+  /// entries fetched.  No-op when prefetch is off.
   std::size_t warm();
 
-  /// One bounded refill pass (for idle loops).  Returns entries added.
+  /// One bounded refill pass (for idle loops).  Returns entries added;
+  /// 0 when prefetch is off.
   std::size_t refill_once();
 
   /// Start the background producer (refills keys below the low-water
-  /// mark).  No-op when inactive or prefetch is off.
+  /// mark).  No-op when prefetch is off.
   void start();
 
   /// Stop the producer and persist the store if a store dir is
@@ -136,10 +129,9 @@ class TriplePipeline {
   void producer_loop();
 
   EngineConfig config_;
-  OwnerLink& link_;
   int party_;
   bool training_;
-  std::unique_ptr<mpc::TripleStore> store_;
+  mpc::TripleStore store_;
   std::thread producer_;
   std::atomic<bool> stop_{false};
   bool shut_down_ = false;

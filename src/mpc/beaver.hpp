@@ -15,20 +15,17 @@
 // Material is organized into *streams*: one FIFO sequence per
 // (kind, dims) shape class, addressed by a `TripleKey` and an entry
 // index.  Entry i of a stream is generated from a seed derived from
-// (master seed, key, i) alone — never from arrival order — so any
-// backend (the in-process SharedDealer, the networked owner service)
-// regenerates the same entry at any time.  That makes caches and
-// prefetch stores pure optimizations: eviction, restarts and
-// request-interleaving differences between parties cannot change what
-// a party receives for a given (key, index).
+// (master seed, key, i) alone — never from arrival order — so either
+// backend (the in-process DealerBackend, the networked owner service)
+// regenerates the same entry at any time.  That makes prefetch stores
+// pure optimizations: restarts and request-interleaving differences
+// between parties cannot change what a party receives for a given
+// (key, index).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -136,24 +133,11 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t master_seed,
                                                      int frac_bits);
 
-/// Per-party access to preprocessing material.  Implementations must
-/// return the *same* underlying triples to all parties for the same
-/// request sequence (the protocols are SPMD, so parties request in
-/// identical order).
-class TripleSource {
- public:
-  virtual ~TripleSource() = default;
-  virtual BeaverTripleShare mul_triple(const Shape& shape) = 0;
-  virtual BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                          std::size_t n) = 0;
-  virtual PartyShare comp_aux(const Shape& shape) = 0;
-  virtual TruncPairShare trunc_pair(const Shape& shape) = 0;
-};
-
-/// Batched range access to one party's material streams — the
-/// offline-phase counterpart of TripleSource.  One call fills N
-/// entries of a shape class (one round trip when the backend is the
-/// networked owner link).
+/// Batched range access to one party's material streams.  One call
+/// fills N entries of a shape class (one round trip when the backend
+/// is the networked owner link).  Protocols never call a backend
+/// directly: a TripleStore (triple_store.hpp) sits in front of it and
+/// hands entries out in stream order.
 class TripleBackend {
  public:
   virtual ~TripleBackend() = default;
@@ -163,7 +147,9 @@ class TripleBackend {
 
 /// In-process TripleBackend for one party: derives every entry
 /// locally from the master seed (the same derivation the owner
-/// service uses, so in-process and networked supplies agree).
+/// service uses, so in-process and networked supplies agree).  Each
+/// party holds its own; deal_material computes all three views and
+/// the backend keeps this party's.
 class DealerBackend final : public TripleBackend {
  public:
   DealerBackend(std::uint64_t master_seed, int frac_bits, int party)
@@ -179,80 +165,6 @@ class DealerBackend final : public TripleBackend {
  private:
   std::uint64_t master_seed_;
   int frac_bits_;
-  int party_;
-};
-
-/// Dealer shared by the three in-process parties; thread-safe.  Each
-/// party's LocalTripleSource pulls its view by per-key stream index;
-/// entries are derived-seed generated on first request and retired
-/// once all parties fetched them.  The cache is bounded: a crashed or
-/// silent party can no longer leak every subsequent triple — evicted
-/// entries are simply regenerated if a straggler asks later.  Used by
-/// unit tests and microbenchmarks; the full framework deals through
-/// the network instead so dealing traffic is metered.
-class SharedDealer {
- public:
-  /// Retire-on-eviction bound: at most this many in-flight entries are
-  /// cached before the oldest is dropped (regenerable, so always safe).
-  static constexpr std::size_t kMaxCacheEntries = 256;
-
-  SharedDealer(std::uint64_t seed, int frac_bits);
-
-  BeaverTripleShare mul_triple(int party, const Shape& shape);
-  BeaverTripleShare matmul_triple(int party, std::size_t m, std::size_t k,
-                                  std::size_t n);
-  PartyShare comp_aux(int party, const Shape& shape);
-  TruncPairShare trunc_pair(int party, const Shape& shape);
-
-  /// Entries currently cached (regression guard for the bounded-cache
-  /// fix; never exceeds kMaxCacheEntries).
-  std::size_t cache_entries() const;
-
- private:
-  struct Entry {
-    std::array<MaterialBatch, kNumParties> views;
-    int served = 0;  ///< bitmask of parties that fetched their view
-  };
-
-  /// The party's view of entry (key, index): cache hit, or derived-seed
-  /// regeneration on miss.  Caller holds mu_.
-  MaterialBatch fetch(const TripleKey& key, std::uint64_t index, int party);
-
-  mutable std::mutex mu_;
-  std::uint64_t seed_;
-  int frac_bits_;
-  std::unordered_map<TripleKey, std::array<std::uint64_t, kNumParties>,
-                     TripleKeyHash>
-      counters_;
-  std::unordered_map<TripleKey, std::unordered_map<std::uint64_t, Entry>,
-                     TripleKeyHash>
-      cache_;
-  std::deque<std::pair<TripleKey, std::uint64_t>> cache_fifo_;
-  std::size_t cache_size_ = 0;
-};
-
-/// TripleSource view of a SharedDealer for one party.
-class LocalTripleSource final : public TripleSource {
- public:
-  LocalTripleSource(std::shared_ptr<SharedDealer> dealer, int party)
-      : dealer_(std::move(dealer)), party_(party) {}
-
-  BeaverTripleShare mul_triple(const Shape& shape) override {
-    return dealer_->mul_triple(party_, shape);
-  }
-  BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                  std::size_t n) override {
-    return dealer_->matmul_triple(party_, m, k, n);
-  }
-  PartyShare comp_aux(const Shape& shape) override {
-    return dealer_->comp_aux(party_, shape);
-  }
-  TruncPairShare trunc_pair(const Shape& shape) override {
-    return dealer_->trunc_pair(party_, shape);
-  }
-
- private:
-  std::shared_ptr<SharedDealer> dealer_;
   int party_;
 };
 

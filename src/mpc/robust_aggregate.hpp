@@ -23,6 +23,7 @@
 #include "mpc/beaver.hpp"
 #include "mpc/open.hpp"
 #include "mpc/protocols_bt.hpp"
+#include "mpc/triple_store.hpp"
 
 namespace trustddl::mpc {
 
@@ -85,13 +86,13 @@ AggregateDemand aggregate_demand(std::size_t num_inputs, const Shape& shape,
 /// inputs.size() ≥ 1.  `frac_bits` is taken from the batch's context.
 /// `stats`, when non-null, is filled at prepare time (the counts are
 /// data-independent).
-DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleSource& triples,
+DeferredShare robust_aggregate_prepare(OpenBatch& batch, TripleStore& triples,
                                        const std::vector<PartyShare>& inputs,
                                        const AggregateOptions& options,
                                        AggregateStats* stats = nullptr);
 
 /// Eager wrapper: prepare + flush_all on a private batch.
-PartyShare robust_aggregate(PartyContext& ctx, TripleSource& triples,
+PartyShare robust_aggregate(PartyContext& ctx, TripleStore& triples,
                             const std::vector<PartyShare>& inputs,
                             const AggregateOptions& options,
                             AggregateStats* stats = nullptr);

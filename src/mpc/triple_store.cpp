@@ -16,7 +16,18 @@ namespace {
 constexpr std::uint32_t kStoreMagic = 0x54534454;
 constexpr std::uint32_t kStoreVersion = 1;
 
+/// Every stored entry holds at least one party share: three tensors
+/// of at least one u64 (the rank word) each.  Bounds a file's claimed
+/// depth by its size before anything is allocated.
+constexpr std::size_t kMinEntryBytes = 3 * 8;
+
+/// Largest ring capacity (the top power of two of size_t).
+constexpr std::size_t kMaxCapacity = ~(~std::size_t{0} >> 1);
+
 std::size_t next_pow2(std::size_t n) {
+  if (n > kMaxCapacity) {
+    throw InvalidArgument("triple store: ring capacity overflows");
+  }
   std::size_t cap = 1;
   while (cap < n) {
     cap <<= 1;
@@ -116,23 +127,6 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
     obs::observe("triple.online_wait.us", static_cast<std::uint64_t>(waited));
   }
   return slot;
-}
-
-BeaverTripleShare TripleStore::mul_triple(const Shape& shape) {
-  return std::move(pop(TripleKey::mul(shape)).triple);
-}
-
-BeaverTripleShare TripleStore::matmul_triple(std::size_t m, std::size_t k,
-                                             std::size_t n) {
-  return std::move(pop(TripleKey::matmul(m, k, n)).triple);
-}
-
-PartyShare TripleStore::comp_aux(const Shape& shape) {
-  return std::move(pop(TripleKey::comp_aux(shape)).aux);
-}
-
-TruncPairShare TripleStore::trunc_pair(const Shape& shape) {
-  return std::move(pop(TripleKey::trunc_pair(shape)).pair);
 }
 
 void TripleStore::grow_ring(KeyQueue& queue, std::size_t min_capacity) {
@@ -390,16 +384,26 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
     const std::uint64_t first_index = reader.read_u64();
     const std::uint64_t target = reader.read_u64();
     const std::uint64_t depth = reader.read_u64();
+    if (target > kMaxCapacity) {
+      throw SerializationError(
+          "triple store: target exceeds ring capacity in " + path);
+    }
+    if (depth > reader.remaining() / kMinEntryBytes) {
+      throw SerializationError("triple store: depth exceeds file size in " +
+                               path);
+    }
+    const auto entries = static_cast<std::size_t>(depth);
 
     KeyQueue& queue = queue_for(key);
     std::lock_guard<std::mutex> lock(queue.fill_mu);
     if (queue.next_fill != 0 || queue.depth_now() != 0) {
       throw SerializationError("triple store: load into a non-empty store");
     }
-    queue.target = static_cast<std::size_t>(
-        std::max<std::uint64_t>(target, depth));
-    grow_ring(queue, std::max<std::size_t>(queue.target, 1));
-    for (std::uint64_t i = 0; i < depth; ++i) {
+    // The ring is sized by what the file holds, never by its claimed
+    // target: planning raises the target again before refills.
+    queue.target = static_cast<std::size_t>(std::min(target, depth));
+    grow_ring(queue, std::max<std::size_t>(entries, 1));
+    for (std::size_t i = 0; i < entries; ++i) {
       Slot& slot = queue.ring[i & (queue.capacity() - 1)];
       switch (key.kind) {
         case TripleKind::kMul:

@@ -1,7 +1,15 @@
-// Shape-keyed prefetch store for preprocessing material — the online
-// half of the offline/online split (FALCON-style: correlated
+// Shape-keyed store for preprocessing material — the one place the
+// online protocols take Beaver triples, comparison auxiliaries and
+// truncation pairs from (FALCON-style offline/online split: correlated
 // randomness is produced ahead of time so the online phase is pure
 // communication + local compute).
+//
+// Material flows backend -> TripleStore -> protocols.  The backend is
+// a DealerBackend (in process) or the party's OwnerLink (networked);
+// protocols pull entries by TripleKey through the typed accessors.
+// When nothing refills it (prefetch off), the store has depth 0 and
+// every pop is a miss that fetches one entry from the backend:
+// synchronous dealing.
 //
 // One SPSC ring per (kind, dims) stream: the party's protocol thread
 // is the only consumer, the background producer (or the party thread
@@ -15,13 +23,14 @@
 // Determinism: entries are consumed strictly in stream order per key,
 // starting at index 0, regardless of whether they arrived via a batch
 // refill, a miss, or a disk restore.  Combined with derived-seed
-// dealing (beaver.hpp) this makes store-backed and synchronous runs
+// dealing (beaver.hpp) this makes prefetched and synchronous runs
 // bit-identical.
 //
-// Instrumented under `triple.*`: per-kind produced/consumed counters
-// and store-depth gauges, `triple.refill.batch` (entries per refill),
-// `triple.online_wait.us` (time the online path spent waiting for
-// material — ~0 when prefetch keeps up), `triple.store.miss`.
+// Instrumented under `triple.*` in every run: per-kind produced/
+// consumed counters and store-depth gauges, `triple.refill.batch`
+// (entries per refill), `triple.online_wait.us` (time the online path
+// spent waiting for material — ~0 when prefetch keeps up),
+// `triple.store.miss` (equal to consumed in a synchronous run).
 #pragma once
 
 #include <atomic>
@@ -30,22 +39,31 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mpc/beaver.hpp"
 
 namespace trustddl::mpc {
 
-class TripleStore final : public TripleSource {
+class TripleStore {
  public:
   TripleStore(TripleBackend& backend, int party);
 
-  // TripleSource — the online hot path.
-  BeaverTripleShare mul_triple(const Shape& shape) override;
+  // The online hot path: the next entry of each stream, in order.
+  BeaverTripleShare mul_triple(const Shape& shape) {
+    return std::move(pop(TripleKey::mul(shape)).triple);
+  }
   BeaverTripleShare matmul_triple(std::size_t m, std::size_t k,
-                                  std::size_t n) override;
-  PartyShare comp_aux(const Shape& shape) override;
-  TruncPairShare trunc_pair(const Shape& shape) override;
+                                  std::size_t n) {
+    return std::move(pop(TripleKey::matmul(m, k, n)).triple);
+  }
+  PartyShare comp_aux(const Shape& shape) {
+    return std::move(pop(TripleKey::comp_aux(shape)).aux);
+  }
+  TruncPairShare trunc_pair(const Shape& shape) {
+    return std::move(pop(TripleKey::trunc_pair(shape)).pair);
+  }
 
   /// Raise the refill target for `key` to at least `count` entries and
   /// reserve ring capacity.  NOT safe concurrently with pops of the
@@ -90,7 +108,8 @@ class TripleStore final : public TripleSource {
 
   /// Restore a saved store.  Returns false if `path` does not exist;
   /// throws SerializationError on a malformed file or provenance
-  /// mismatch.  Call before the online phase starts.
+  /// mismatch.  Each restored target is clamped to the restored depth
+  /// (planning raises it again).  Call before the online phase starts.
   bool load(const std::string& path, std::uint64_t provenance);
 
  private:

@@ -28,9 +28,10 @@ mpc::PartyShare decode_share(Bytes payload) {
 }  // namespace
 
 TrainServer::TrainServer(int party, net::Endpoint endpoint,
-                         TrainConfig config, std::uint64_t provenance)
+                         TrainConfig config, std::uint64_t provenance,
+                         core::TriplePipeline& pipeline)
     : party_(party), endpoint_(endpoint), config_(std::move(config)),
-      provenance_(provenance) {}
+      provenance_(provenance), pipeline_(pipeline) {}
 
 bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                       core::OwnerLink& link, const nn::ModelSpec& spec) {
@@ -104,9 +105,7 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
       if (std::chrono::steady_clock::now() > deadline) {
         throw TimeoutError("train: no manifest " + std::to_string(round));
       }
-      const std::size_t refilled =
-          pipeline_ != nullptr ? pipeline_->refill_once() : 0;
-      if (refilled == 0) {
+      if (pipeline_.refill_once() == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
@@ -135,15 +134,13 @@ bool TrainServer::run(core::SecureModel& model, core::SecureExecContext& ctx,
                            std::to_string(manifest.entries.size()));
     obs::HealthState::global().note_progress("train.last_round", round);
     obs::ScopedSpan span("train.round", party_, round);
-    if (pipeline_ != nullptr && spec_ != nullptr) {
-      std::vector<std::size_t> owner_rows;
-      owner_rows.reserve(manifest.entries.size());
-      for (const auto& entry : manifest.entries) {
-        owner_rows.push_back(entry.rows);
-      }
-      pipeline_->plan(core::profile_train_round_demand(
-          *spec_, owner_rows, ctx.trunc_mode, agg_options, use_momentum));
+    std::vector<std::size_t> owner_rows;
+    owner_rows.reserve(manifest.entries.size());
+    for (const auto& entry : manifest.entries) {
+      owner_rows.push_back(entry.rows);
     }
+    pipeline_.plan(core::profile_train_round_demand(
+        spec, owner_rows, ctx.trunc_mode, agg_options, use_momentum));
 
     // Per-owner normalized gradients.  Gradients are scaled by 1/rows
     // BEFORE backward (not folded into the learning rate as in the
@@ -257,15 +254,11 @@ mpc::DetectionLog train_service_party_body(
   core::SecureModel model(spec,
                           core::receive_parameters(endpoint, param_count));
 
-  mpc::PartyContext pctx = core::make_party_context(config, party, endpoint);
-  core::SecureExecContext sctx = core::make_exec_context(config, pctx, link);
-
   core::TriplePipeline pipeline(config, link, party, /*training=*/true);
-  TrainServer server(party, endpoint, train_config, config.seed);
-  if (pipeline.active()) {
-    sctx.triples = &pipeline.source();
-    server.set_pipeline(&pipeline, &spec);
-  }
+  mpc::PartyContext pctx = core::make_party_context(config, party, endpoint);
+  core::SecureExecContext sctx =
+      core::make_exec_context(config, pctx, link, pipeline.store());
+  TrainServer server(party, endpoint, train_config, config.seed, pipeline);
   const bool clean = server.run(model, sctx, link, spec);
   if (clean_out != nullptr) {
     *clean_out = clean;

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/owner_link.hpp"
+#include "mpc/triple_store.hpp"
 #include "mpc/robust_reconstruct.hpp"
 #include "net/runtime.hpp"
 #include "nn/layers.hpp"
@@ -56,8 +57,8 @@ TEST(OwnerServiceTest, DealsConsistentTriplesToAllParties) {
   std::array<mpc::BeaverTripleShare, 3> triples;
   net::run_parties(3, [&](net::PartyId party) {
     OwnerLink link(harness.network.endpoint(party), party);
-    triples[static_cast<std::size_t>(party)] =
-        link.matmul_triple(2, 3, 2);
+    mpc::TripleStore store(link, party);
+    triples[static_cast<std::size_t>(party)] = store.matmul_triple(2, 3, 2);
     link.stop();
   });
   // The dealt views must reconstruct a consistent triple: c == a x b.
@@ -135,7 +136,8 @@ TEST(OwnerServiceTest, ShutsDownWithTwoStopsAndSilentThirdParty) {
   ServiceHarness harness(std::chrono::milliseconds(150));
   net::run_parties(2, [&](net::PartyId party) {
     OwnerLink link(harness.network.endpoint(party), party);
-    (void)link.mul_triple(Shape{2});
+    mpc::TripleStore store(link, party);
+    (void)store.mul_triple(Shape{2});
     link.stop();
   });
   // The harness destructor joins; reaching here without hanging IS the

@@ -20,7 +20,7 @@ struct MulFixture {
   RealTensor y;
   std::array<PartyShare, 3> x_views;
   std::array<PartyShare, 3> y_views;
-  std::shared_ptr<SharedDealer> dealer;
+  std::unique_ptr<testing::PartyTriples> dealer;
 
   MulFixture(const Shape& shape, std::uint64_t seed, double bound = 4.0) {
     Rng rng(seed);
@@ -28,7 +28,7 @@ struct MulFixture {
     y = random_real(shape, rng, bound);
     x_views = share_secret(to_ring(x, kF), rng);
     y_views = share_secret(to_ring(y, kF), rng);
-    dealer = std::make_shared<SharedDealer>(seed + 999, kF);
+    dealer = std::make_unique<testing::PartyTriples>(seed + 999, kF);
   }
 };
 
@@ -38,7 +38,7 @@ TEST(SecMulBtTest, ElementwiseProductMatchesPlaintext) {
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = (*fixture.dealer)[ctx.party];
     const auto triple = source.mul_triple(Shape{3, 4});
     PartyShare z = sec_mul_bt(ctx, fixture.x_views[index],
                               fixture.y_views[index], triple);
@@ -58,12 +58,12 @@ TEST(SecMatMulBtTest, MatrixProductMatchesPlaintext) {
   const RealTensor y = random_real(Shape{6, 5}, rng, 2.0);
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(777, kF);
+  testing::PartyTriples dealer(777, kF);
 
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = dealer[ctx.party];
     const auto triple = source.matmul_triple(4, 6, 5);
     PartyShare z =
         sec_matmul_bt(ctx, x_views[index], y_views[index], triple);
@@ -82,7 +82,7 @@ TEST(SecMulBtTest, MaskedOpenTruncationIsExact) {
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = (*fixture.dealer)[ctx.party];
     const auto triple = source.mul_triple(Shape{8});
     const auto pair = source.trunc_pair(Shape{8});
     PartyShare z = sec_mul_bt(ctx, fixture.x_views[index],
@@ -105,12 +105,12 @@ TEST(SecCompBtTest, SignsMatchPlaintextComparison) {
   x[0] = y[0];  // include an exact tie
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(555, kF);
+  testing::PartyTriples dealer(555, kF);
 
   std::array<RingTensor, 3> signs;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = dealer[ctx.party];
     const auto triple = source.mul_triple(shape);
     const auto t_aux = source.comp_aux(shape);
     signs[index] = sec_comp_bt(ctx, x_views[index], y_views[index], t_aux,
@@ -137,12 +137,12 @@ TEST(SecCompBtTest, SignAgainstZeroAndPositiveMask) {
   const Shape shape{6};
   const RealTensor x(Shape{6}, {-2.0, -0.5, 0.0, 0.5, 2.0, 7.0});
   const auto x_views = share_secret(to_ring(x, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(444, kF);
+  testing::PartyTriples dealer(444, kF);
 
   std::array<RingTensor, 3> masks;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = dealer[ctx.party];
     const auto signs = sec_sign_bt(ctx, x_views[index],
                                    source.comp_aux(shape),
                                    source.mul_triple(shape));
@@ -170,7 +170,7 @@ TEST_P(SecMulByzantineSweep, HonestPartiesComputeCorrectProduct) {
   std::array<PartyShare, 3> product_shares;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = (*fixture.dealer)[ctx.party];
     const auto triple = source.mul_triple(Shape{4});
     PartyShare z = sec_mul_bt(ctx, fixture.x_views[index],
                               fixture.y_views[index], triple);
@@ -216,12 +216,12 @@ TEST(SecMulBtTest, ChainedMultiplicationsStayAccurate) {
   const auto x_views = share_secret(to_ring(x, kF), rng);
   const auto y_views = share_secret(to_ring(y, kF), rng);
   const auto w_views = share_secret(to_ring(w, kF), rng);
-  auto dealer = std::make_shared<SharedDealer>(321, kF);
+  testing::PartyTriples dealer(321, kF);
 
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(dealer, ctx.party);
+    TripleStore& source = dealer[ctx.party];
     PartyShare xy = sec_mul_bt(ctx, x_views[index], y_views[index],
                                source.mul_triple(shape));
     xy = truncate_product_local(xy, kF);
@@ -242,7 +242,7 @@ TEST(SecMulBtTest, HbcModeProducesSameResult) {
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = (*fixture.dealer)[ctx.party];
     PartyShare z =
         sec_mul_bt(ctx, fixture.x_views[index], fixture.y_views[index],
                    source.mul_triple(Shape{3, 3}));

@@ -26,7 +26,7 @@ constexpr double kAvgTol = 8.0 / (1 << kF);
 struct AggFixture {
   std::vector<RealTensor> reals;            ///< decoded (post-to_ring) values
   std::vector<std::array<PartyShare, 3>> views;
-  std::shared_ptr<SharedDealer> dealer;
+  std::unique_ptr<testing::PartyTriples> dealer;
 
   AggFixture(std::size_t k, const Shape& shape, std::uint64_t seed,
              double bound = 4.0) {
@@ -36,7 +36,7 @@ struct AggFixture {
       reals.push_back(to_real(ring, kF));
       views.push_back(share_secret(ring, rng));
     }
-    dealer = std::make_shared<SharedDealer>(seed + 4242, kF);
+    dealer = std::make_unique<testing::PartyTriples>(seed + 4242, kF);
   }
 
   explicit AggFixture(const std::vector<RealTensor>& values,
@@ -47,7 +47,7 @@ struct AggFixture {
       reals.push_back(to_real(ring, kF));
       views.push_back(share_secret(ring, rng));
     }
-    dealer = std::make_shared<SharedDealer>(seed + 4242, kF);
+    dealer = std::make_unique<testing::PartyTriples>(seed + 4242, kF);
   }
 
   std::vector<PartyShare> party_inputs(int party) const {
@@ -67,7 +67,7 @@ std::array<RealTensor, 3> run_aggregate(const AggFixture& fixture,
   std::array<RealTensor, 3> results;
   harness.run([&](PartyContext& ctx) {
     const auto index = static_cast<std::size_t>(ctx.party);
-    LocalTripleSource source(fixture.dealer, ctx.party);
+    TripleStore& source = (*fixture.dealer)[ctx.party];
     AggregateStats local_stats;
     PartyShare agg = robust_aggregate(ctx, source,
                                       fixture.party_inputs(ctx.party), options,
@@ -263,13 +263,10 @@ TEST(RobustAggregateTest, PreparedAggregatesShareOpeningRounds) {
       OpenBatch batch(ctx);
       std::array<DeferredShare, 3> deferred;
       std::array<const AggFixture*, 3> fixtures{&fx_a, &fx_b, &fx_c};
-      std::array<std::unique_ptr<LocalTripleSource>, 3> sources;
       for (std::size_t i = 0; i < 3; ++i) {
-        sources[i] = std::make_unique<LocalTripleSource>(fixtures[i]->dealer,
-                                                         ctx.party);
         deferred[i] = robust_aggregate_prepare(
-            batch, *sources[i], fixtures[i]->party_inputs(ctx.party),
-            options);
+            batch, (*fixtures[i]->dealer)[ctx.party],
+            fixtures[i]->party_inputs(ctx.party), options);
       }
       batch.flush_all();
       EXPECT_EQ(batch.flushes(), expected_flushes);

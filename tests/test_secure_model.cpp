@@ -52,15 +52,17 @@ class FiveActorHarness {
     service_thread_.join();
   }
 
-  /// Run the SPMD body on three party threads; each gets its context
-  /// and an OwnerLink.  Sends kStop automatically afterwards.
+  /// Run the SPMD body on three party threads; each gets its context,
+  /// an OwnerLink and a TripleStore fed by it.  Sends kStop
+  /// automatically afterwards.
   void run(const std::function<void(SecureExecContext&, int)>& body) {
     net::run_parties(3, [&](net::PartyId party) {
       OwnerLink link(network_.endpoint(party), party,
                      std::chrono::seconds(30));
+      mpc::TripleStore triples(link, party);
       SecureExecContext ctx;
       ctx.mpc = &contexts_[static_cast<std::size_t>(party)];
-      ctx.triples = &link;
+      ctx.triples = &triples;
       ctx.owner = &link;
       ctx.trunc_mode = trunc_;
       try {

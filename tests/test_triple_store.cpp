@@ -1,12 +1,16 @@
 // Offline/online split (DESIGN.md §10): derived-seed material streams,
 // the shape-keyed TripleStore (prefetch, exhaustion fallback, disk
-// round trip, SPSC concurrency) and the engine-level guarantee that
+// round trip and corrupt-file rejection, SPSC concurrency) and the
+// engine-level guarantees: synchronous runs miss on every pop, and
 // prefetched and synchronous runs are bit-identical.
 #include "mpc/triple_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -172,6 +176,91 @@ TEST(TripleStoreTest, DiskRoundTripRestoresEntriesAndCursor) {
   std::remove(path.c_str());
 }
 
+// --- Corrupt TDST files ---------------------------------------------
+
+constexpr std::uint64_t kProvenance = 0xfeedULL;
+
+/// A party-0 TDST file under kProvenance holding one rank-0 kMul key
+/// with the given target and depth fields and no entries.
+Bytes crafted_store(std::uint64_t target, std::uint64_t depth,
+                    std::uint8_t kind = 0) {
+  ByteWriter writer;
+  writer.write_u32(0x54534454);  // "TDST"
+  writer.write_u32(1);           // version
+  writer.write_u64(kProvenance);
+  writer.write_u32(0);  // party
+  writer.write_u64(1);  // keys
+  writer.write_u8(kind);
+  writer.write_u64(0);  // rank
+  writer.write_u64(0);  // stream cursor
+  writer.write_u64(target);
+  writer.write_u64(depth);
+  return writer.take();
+}
+
+void write_file(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Loading `bytes` into a fresh party-0 store must throw
+/// SerializationError promptly, without allocating what the file
+/// claims.
+void expect_load_rejected(const Bytes& bytes) {
+  const std::string path = ::testing::TempDir() + "triple_store_bad.bin";
+  write_file(path, bytes);
+  DealerBackend backend(kSeed, kF, /*party=*/0);
+  TripleStore store(backend, /*party=*/0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(store.load(path, kProvenance), SerializationError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  std::remove(path.c_str());
+}
+
+TEST(TripleStoreLoadTest, HugeTargetIsRejected) {
+  // 2^63 + 1 has no power-of-two ring capacity.
+  expect_load_rejected(crafted_store((std::uint64_t{1} << 63) + 1, 0));
+}
+
+TEST(TripleStoreLoadTest, HugeDepthIsRejected) {
+  expect_load_rejected(crafted_store(4, std::uint64_t{1} << 40));
+}
+
+TEST(TripleStoreLoadTest, UnknownKindIsRejected) {
+  expect_load_rejected(crafted_store(0, 0, /*kind=*/9));
+}
+
+TEST(TripleStoreLoadTest, TruncationMidEntryIsRejected) {
+  const std::string path = ::testing::TempDir() + "triple_store_cut.bin";
+  DealerBackend backend(kSeed, kF, /*party=*/0);
+  TripleStore store(backend, /*party=*/0);
+  store.demand(TripleKey::mul(Shape{4}), 2);
+  store.refill_toward_targets(2);
+  store.save(path, kProvenance);
+  std::ifstream in(path, std::ios::binary);
+  Bytes bytes((std::istreambuf_iterator<char>(in)),
+              std::istreambuf_iterator<char>());
+  bytes.resize(bytes.size() - 20);  // inside the second entry
+  expect_load_rejected(bytes);
+  std::remove(path.c_str());
+}
+
+TEST(TripleStoreLoadTest, RestoredTargetIsClampedToDepth) {
+  // A target far beyond the file's entries sizes nothing: the restore
+  // holds what the file holds, and planning raises the target again.
+  const std::string path = ::testing::TempDir() + "triple_store_big.bin";
+  write_file(path, crafted_store(std::uint64_t{1} << 40, 0));
+  DealerBackend backend(kSeed, kF, /*party=*/0);
+  TripleStore store(backend, /*party=*/0);
+  ASSERT_TRUE(store.load(path, kProvenance));
+  const TripleKey key = TripleKey::mul(Shape{});
+  EXPECT_EQ(store.target(key), 0u);
+  store.demand(key, 3);
+  EXPECT_EQ(store.refill(key, 8), 3u);
+  std::remove(path.c_str());
+}
+
 TEST(TripleStoreTest, ConcurrentProducerAndConsumerPreserveStreamOrder) {
   // SPSC contract under real concurrency (run under TSan in CI): a
   // producer thread refills while the consumer pops; every pop must
@@ -279,6 +368,32 @@ TEST(PrefetchExactnessTest, InferLabelsBitIdenticalAndStoreNeverMisses) {
   EXPECT_EQ(snapshot.counter_sum("triple.produced"),
             snapshot.counter_sum("triple.consumed") +
                 static_cast<std::uint64_t>(in_store));
+}
+
+TEST(PrefetchExactnessTest, SyncRunMissesOnEveryPopAndLedgerBalances) {
+  // With prefetch off the store stays empty: every pop is a miss that
+  // fetches one entry from the owner, and the triple.* ledger still
+  // balances with nothing left in store.
+  const auto split = tiny_split(30, 16);
+  const data::Dataset sample = data::slice(split.test, 0, 6);
+
+  obs::MetricsRegistry::global().reset();
+  obs::set_metrics_enabled(true);
+  core::TrustDdlEngine engine(nn::tiny_cnn_spec(), prefetch_config(false));
+  (void)engine.infer(sample, /*batch_size=*/4);
+  obs::set_metrics_enabled(false);
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+
+  const std::uint64_t consumed = snapshot.counter_sum("triple.consumed");
+  EXPECT_GT(consumed, 0u);
+  EXPECT_EQ(snapshot.counter_sum("triple.store.miss"), consumed);
+  EXPECT_EQ(snapshot.counter_sum("triple.produced"), consumed);
+  for (const auto& gauge : snapshot.gauges) {
+    if (gauge.name.rfind("triple.store.depth", 0) == 0) {
+      EXPECT_EQ(gauge.value, 0) << gauge.name;
+    }
+  }
 }
 
 TEST(PrefetchExactnessTest, TrainedWeightsBitIdenticalWithPrefetch) {

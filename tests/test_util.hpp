@@ -9,6 +9,7 @@
 #include "mpc/adversary.hpp"
 #include "mpc/beaver.hpp"
 #include "mpc/context.hpp"
+#include "mpc/triple_store.hpp"
 #include "net/network.hpp"
 #include "net/runtime.hpp"
 #include "numeric/tensor.hpp"
@@ -33,6 +34,33 @@ inline RingTensor random_ring(const Shape& shape, Rng& rng) {
   }
   return out;
 }
+
+/// In-process preprocessing for the three computing parties: per
+/// party, a DealerBackend over `seed` feeding that party's TripleStore.
+/// Nothing is prefetched, so every pop deals the party's view of the
+/// next stream entry on demand; the parties' views combine because
+/// each stream entry is a pure function of (seed, key, index).
+class PartyTriples {
+ public:
+  PartyTriples(std::uint64_t seed, int frac_bits) {
+    for (int party = 0; party < 3; ++party) {
+      const auto index = static_cast<std::size_t>(party);
+      backends_[index] =
+          std::make_unique<mpc::DealerBackend>(seed, frac_bits, party);
+      stores_[index] =
+          std::make_unique<mpc::TripleStore>(*backends_[index], party);
+    }
+  }
+
+  /// Party `party`'s store; use it only from that party's thread.
+  mpc::TripleStore& operator[](int party) {
+    return *stores_[static_cast<std::size_t>(party)];
+  }
+
+ private:
+  std::array<std::unique_ptr<mpc::DealerBackend>, 3> backends_;
+  std::array<std::unique_ptr<mpc::TripleStore>, 3> stores_;
+};
 
 /// Fixture pieces for a 3-computing-party protocol run: a network, one
 /// context per party, and an optional adversary attached to one party.
