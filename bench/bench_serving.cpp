@@ -17,6 +17,10 @@
 // Both configurations must return identical predictions for every
 // request — batching is a scheduling decision, never a results change.
 //
+// Bytes are the whole session's traffic (parameter sharing, the
+// one-time fixed-operand opening, dealing, openings, client I/O);
+// bytes_per_request divides them by the request count.
+//
 // Each configuration runs `kTrials` full sessions; the reported wall
 // time is the bench_util median/P95/CV over the per-session samples
 // (stats_from_samples — sessions are seconds long, so no kernel-scale
@@ -49,6 +53,7 @@ struct RunStats {
   double requests_per_second = 0.0;
   std::uint64_t batches = 0;
   std::uint64_t total_messages = 0;
+  std::uint64_t total_bytes = 0;  // whole session, parameter sharing included
   std::vector<std::size_t> labels;  // [client * kRequestsPerClient + r]
 };
 
@@ -88,6 +93,7 @@ RunStats run_once(std::size_t max_batch_rows,
   *wall_out = session.wall_seconds;
   stats.batches = session.scheduler.batches;
   stats.total_messages = session.traffic.total_messages;
+  stats.total_bytes = session.traffic.total_bytes;
   for (const auto& result : results) {
     if (result.status != serve::Status::kOk || result.labels.size() != 1) {
       std::fprintf(stderr, "FATAL: a request did not complete\n");
@@ -118,12 +124,17 @@ RunStats run(std::size_t max_batch_rows,
   return stats;
 }
 
+double mib_per_request(const RunStats& stats) {
+  return static_cast<double>(stats.total_bytes) / kRequests / (1024.0 * 1024.0);
+}
+
 void print_row(const char* name, const RunStats& stats) {
-  std::printf("%-12s %10.3f %10.3f %8.3f %10.2f %10llu %10llu\n", name,
-              stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
+  std::printf("%-12s %10.3f %10.3f %8.3f %10.2f %10llu %10llu %10.3f\n",
+              name, stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
               stats.requests_per_second,
               static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.total_messages));
+              static_cast<unsigned long long>(stats.total_messages),
+              mib_per_request(stats));
 }
 
 void write_json_entry(std::FILE* file, const char* key, const RunStats& stats,
@@ -131,11 +142,15 @@ void write_json_entry(std::FILE* file, const char* key, const RunStats& stats,
   std::fprintf(file,
                "  \"%s\": {\"wall_seconds\": %.6f, \"wall_p95_seconds\": "
                "%.6f, \"cv\": %.4f, \"requests_per_second\": %.3f, "
-               "\"batches\": %llu, \"total_messages\": %llu}%s\n",
+               "\"batches\": %llu, \"total_messages\": %llu, "
+               "\"total_bytes\": %llu, \"bytes_per_request\": %llu}%s\n",
                key, stats.wall.median_s, stats.wall.p95_s, stats.wall.cv,
                stats.requests_per_second,
                static_cast<unsigned long long>(stats.batches),
-               static_cast<unsigned long long>(stats.total_messages), suffix);
+               static_cast<unsigned long long>(stats.total_messages),
+               static_cast<unsigned long long>(stats.total_bytes),
+               static_cast<unsigned long long>(stats.total_bytes / kRequests),
+               suffix);
 }
 
 }  // namespace
@@ -159,8 +174,9 @@ int main(int argc, char** argv) {
               "===\n\n",
               kRequests, kClients,
               static_cast<long long>(kLinkLatency.count()));
-  std::printf("%-12s %10s %10s %8s %10s %10s %10s\n", "config", "wall (s)",
-              "p95 (s)", "cv", "req/s", "batches", "messages");
+  std::printf("%-12s %10s %10s %8s %10s %10s %10s %10s\n", "config",
+              "wall (s)", "p95 (s)", "cv", "req/s", "batches", "messages",
+              "MiB/req");
 
   const RunStats batch1 =
       run(/*max_batch_rows=*/1, std::chrono::milliseconds(0), split);

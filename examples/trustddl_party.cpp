@@ -673,7 +673,7 @@ int run_serve(const Options& opt, const core::EngineConfig& config,
               transports[i]->endpoint(static_cast<net::PartyId>(id));
           if (id == core::kModelOwner) {
             serve::SchedulerStats stats;
-            serve::serve_model_owner_body(spec, config, model, endpoint,
+            serve::serve_model_owner_body(config, model, endpoint,
                                           serve_config, opt.clients, &stats);
             std::printf(
                 "[party %d] serve done: %llu admitted = %llu completed + "

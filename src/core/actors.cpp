@@ -80,6 +80,7 @@ OwnerServiceConfig make_owner_service_config(const EngineConfig& config,
   owner_config.collect_timeout = config.collect_timeout;
   owner_config.seed =
       training ? config.seed * 31 + 7 : config.seed * 41 + 17;
+  owner_config.training = training;
   return owner_config;
 }
 

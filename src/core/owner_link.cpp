@@ -56,6 +56,10 @@ mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
 
   ByteReader response(unary_roundtrip(request.take()));
   const std::uint32_t served = response.read_u32();
+  if (served == 0) {
+    throw MaterialRefused(std::string("owner refused ") +
+                          mpc::triple_kind_name(key.kind) + " material");
+  }
   if (served != count) {
     throw ProtocolError("owner served short material batch");
   }
@@ -66,7 +70,11 @@ mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
       case mpc::TripleKind::kMatMul:
         batch.triples.push_back(mpc::read_beaver_share(response));
         break;
+      case mpc::TripleKind::kFixedTriple:
+        batch.triples.push_back(mpc::read_fixed_triple(response));
+        break;
       case mpc::TripleKind::kCompAux:
+      case mpc::TripleKind::kFixedMask:
         batch.aux.push_back(mpc::read_party_share(response));
         break;
       case mpc::TripleKind::kTruncPair:

@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/error.hpp"
 #include "mpc/beaver.hpp"
 #include "net/network.hpp"
 
@@ -45,6 +46,13 @@ enum class OwnerOp : std::uint8_t {
   kStop = 7,
 };
 
+/// The owner answered a fill with no material: a training owner never
+/// deals the fixed-operand kinds (DESIGN.md §9).
+class MaterialRefused : public ProtocolError {
+ public:
+  explicit MaterialRefused(const std::string& what) : ProtocolError(what) {}
+};
+
 class OwnerLink final : public mpc::TripleBackend {
  public:
   OwnerLink(net::Endpoint endpoint, int party,
@@ -56,7 +64,8 @@ class OwnerLink final : public mpc::TripleBackend {
 
   /// TripleBackend: fetch entries [start, start+count) of `key` in one
   /// round trip.  Thread-safe (prefetch producer + protocol thread).
-  /// The party's TripleStore is the only caller.
+  /// The party's TripleStore is the only caller.  Throws
+  /// MaterialRefused when the owner deals none of it.
   mpc::MaterialBatch fill(const mpc::TripleKey& key, std::uint64_t start,
                           std::size_t count) override;
 

@@ -149,7 +149,7 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
     (void)reader.read_u8();
     mpc::TripleKey key;
     key.kind = static_cast<mpc::TripleKind>(reader.read_u8());
-    if (key.kind > mpc::TripleKind::kTruncPair) {
+    if (key.kind > mpc::kLastTripleKind) {
       throw SerializationError("unknown material kind");
     }
     key.dims = read_shape(reader);
@@ -158,12 +158,17 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
     if (count == 0 || count > config_.max_batch_entries) {
       throw ProtocolError("fill count out of bounds");
     }
-    std::size_t entry_values = 1;
-    for (std::size_t dim : key.dims) {
-      entry_values *= std::max<std::size_t>(dim, 1);
-    }
-    if (entry_values * count > (std::size_t{1} << 28)) {
+    if (mpc::material_entry_values(key) * count > (std::size_t{1} << 28)) {
       throw ProtocolError("fill request too large");
+    }
+    if (config_.training && mpc::is_fixed_operand_kind(key.kind)) {
+      TRUSTDDL_LOG_WARN(kLog)
+          << "refusing " << mpc::triple_kind_name(key.kind)
+          << " material to party " << party << " (training owner)";
+      ByteWriter refusal;
+      refusal.write_u32(0);
+      endpoint_.send(party, "rsp/" + std::to_string(id), refusal.take());
+      return;
     }
 
     // Stateless derived-seed dealing: the response is a pure function
@@ -182,7 +187,13 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
             mpc::write_beaver_share(writer, triple);
           }
           break;
+        case mpc::TripleKind::kFixedTriple:
+          for (const auto& triple : view.triples) {
+            mpc::write_fixed_triple(writer, triple);
+          }
+          break;
         case mpc::TripleKind::kCompAux:
+        case mpc::TripleKind::kFixedMask:
           for (const auto& aux : view.aux) {
             mpc::write_party_share(writer, aux);
           }

@@ -4,6 +4,8 @@
 // Each party speaks on two independent streams (see owner_link.hpp):
 //
 //  * unary stream ("req/<id>"): batched material fills (kBatchFill).
+//    A training owner answers a fixed-operand fill with an empty batch,
+//    which the party's OwnerLink raises as MaterialRefused.
 //    Material is dealt *statelessly* — entry (key, index) is generated
 //    from a seed derived from the service seed, so the same range
 //    request yields the same shares no matter which party asks first,
@@ -53,6 +55,10 @@ struct OwnerServiceConfig {
   /// Upper bound on entries per kBatchFill request (backpressure
   /// against a buggy or hostile party asking for gigabytes).
   std::uint32_t max_batch_entries = 8192;
+  /// A training owner refuses the fixed-operand kinds: its weights move
+  /// every SGD step, and two openings of W − B under one B would reveal
+  /// the update W_{t+1} − W_t = −η·∇ (DESIGN.md §9).
+  bool training = false;
 };
 
 class ModelOwnerService {

@@ -5,6 +5,18 @@
 #include "obs/trace.hpp"
 
 namespace trustddl::core {
+namespace {
+
+const mpc::FixedOperand* find_fixed(const SecureExecContext& ctx,
+                                    std::size_t slot) {
+  if (ctx.fixed == nullptr) {
+    return nullptr;
+  }
+  const auto it = ctx.fixed->layers.find(slot);
+  return it == ctx.fixed->layers.end() ? nullptr : &it->second;
+}
+
+}  // namespace
 
 mpc::PartyShare SecureExecContext::rescale(const mpc::PartyShare& product) {
   if (trunc_mode == TruncationMode::kMaskedOpen) {
@@ -89,10 +101,17 @@ mpc::PartyShare SecureDense::forward(SecureExecContext& ctx,
   const std::size_t batch = input.shape()[0];
   const std::size_t in_features = input.shape()[1];
   const std::size_t out_features = weights_.value.shape()[1];
-  const mpc::BeaverTripleShare triple =
-      ctx.triples->matmul_triple(batch, in_features, out_features);
-  mpc::PartyShare output = ctx.rescale(
-      mpc::sec_matmul_bt(*ctx.mpc, input, weights_.value, triple));
+  mpc::PartyShare product;
+  if (const mpc::FixedOperand* fixed = find_fixed(ctx, slot_)) {
+    const mpc::BeaverTripleShare triple = ctx.triples->fixed_triple(
+        slot_, ctx.fixed->version, batch, in_features, out_features);
+    product = mpc::sec_matmul_bt_fixed(*ctx.mpc, input, *fixed, triple);
+  } else {
+    const mpc::BeaverTripleShare triple =
+        ctx.triples->matmul_triple(batch, in_features, out_features);
+    product = mpc::sec_matmul_bt(*ctx.mpc, input, weights_.value, triple);
+  }
+  mpc::PartyShare output = ctx.rescale(product);
   add_row_broadcast(output, bias_.value);
   return output;
 }
@@ -366,8 +385,8 @@ SecureModel::SecureModel(const nn::ModelSpec& spec,
       case nn::LayerSpec::Kind::kDense: {
         mpc::PartyShare weights = take();
         mpc::PartyShare bias = take();
-        layers_.push_back(std::make_unique<SecureDense>(std::move(weights),
-                                                        std::move(bias)));
+        layers_.push_back(std::make_unique<SecureDense>(
+            std::move(weights), std::move(bias), layers_.size()));
         break;
       }
       case nn::LayerSpec::Kind::kRelu:
@@ -404,6 +423,30 @@ void SecureModel::backward_from_logit_grad(
   for (std::size_t i = layers_.size() - 1; i-- > 0;) {
     grad = layers_[i]->backward(ctx, grad);
   }
+}
+
+FixedOperands SecureModel::open_fixed_operands(SecureExecContext& ctx,
+                                               std::uint64_t version) {
+  obs::ScopedSpan span("model.open_fixed", ctx.mpc->party, ctx.mpc->step);
+  mpc::OpenBatch open_batch(*ctx.mpc);
+  FixedOperands fixed;
+  fixed.version = version;
+  std::vector<std::pair<std::size_t, mpc::DeferredTensor>> opened;
+  for (std::size_t slot = 0; slot < layers_.size(); ++slot) {
+    if (dynamic_cast<SecureDense*>(layers_[slot].get()) == nullptr) {
+      continue;
+    }
+    const mpc::PartyShare& weights = layers_[slot]->parameters()[0]->value;
+    mpc::PartyShare mask = ctx.triples->fixed_mask(
+        slot, version, weights.shape()[0], weights.shape()[1]);
+    opened.emplace_back(slot, open_batch.enqueue_value(weights - mask));
+    fixed.layers[slot].b = std::move(mask);
+  }
+  open_batch.flush_all();
+  for (auto& [slot, f] : opened) {
+    fixed.layers[slot].f = f.take();
+  }
+  return fixed;
 }
 
 void SecureModel::sgd_step(SecureExecContext& ctx, double learning_rate,

@@ -14,6 +14,8 @@
 // All functions are SPMD across the three computing parties.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -28,6 +30,14 @@ namespace trustddl::core {
 /// How fixed-point products are rescaled (see mpc::TruncationMode).
 using mpc::TruncationMode;
 
+/// Serving's fixed weight operands (DESIGN.md §9): each dense layer's
+/// mask shares and opened F = W − B, by layer slot (its index in the
+/// ModelSpec), for one model version.
+struct FixedOperands {
+  std::uint64_t version = 0;
+  std::map<std::size_t, mpc::FixedOperand> layers;
+};
+
 /// Everything a secure layer needs at execution time.
 struct SecureExecContext {
   mpc::PartyContext* mpc = nullptr;       ///< party-to-party protocols
@@ -40,6 +50,10 @@ struct SecureExecContext {
   /// immediately) — reconstructed values are identical either way; only
   /// the number of round trips changes.
   bool batch_openings = true;
+  /// Serving only: when set, dense forwards multiply by the fixed
+  /// operands (one-sided SecMatMul-BT) instead of per-batch matmul
+  /// triples.  Training and one-shot inference leave it null.
+  const FixedOperands* fixed = nullptr;
 
   /// Rescale a double-precision product share back to f fractional
   /// bits according to the configured strategy.
@@ -80,11 +94,13 @@ class SecureLayer {
   virtual std::vector<SecureParameter*> parameters() { return {}; }
 };
 
-/// Fully connected layer on shares: y = xW + b.
+/// Fully connected layer on shares: y = xW + b.  `slot` is the layer's
+/// index in its ModelSpec, which keys its fixed operand.
 class SecureDense final : public SecureLayer {
  public:
-  SecureDense(mpc::PartyShare weights, mpc::PartyShare bias)
-      : weights_(std::move(weights)), bias_(std::move(bias)) {}
+  SecureDense(mpc::PartyShare weights, mpc::PartyShare bias,
+              std::size_t slot = 0)
+      : weights_(std::move(weights)), bias_(std::move(bias)), slot_(slot) {}
 
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
@@ -97,6 +113,7 @@ class SecureDense final : public SecureLayer {
  private:
   SecureParameter weights_;
   SecureParameter bias_;
+  std::size_t slot_;
   mpc::PartyShare cached_input_;
 };
 
@@ -192,6 +209,12 @@ class SecureModel {
   /// skipped — mirroring nn::Sequential::train_step.
   void backward_from_logit_grad(SecureExecContext& ctx,
                                 const mpc::PartyShare& grad_logits);
+
+  /// Serving start-up: fetch each dense layer's mask B (keyed by slot
+  /// and `version`) and open every F = W − B in ONE batched robust
+  /// opening.  Point SecureExecContext::fixed at the result.
+  FixedOperands open_fixed_operands(SecureExecContext& ctx,
+                                    std::uint64_t version);
 
   /// SGD update W -= lr * dW on shares; lr is public.
   void sgd_step(SecureExecContext& ctx, double learning_rate,

@@ -46,19 +46,29 @@ std::size_t DemandPlan::total() const {
 
 DemandPlan profile_step_demand(const nn::ModelSpec& spec,
                                std::size_t batch_rows,
-                               TruncationMode trunc_mode, bool training) {
+                               TruncationMode trunc_mode, bool training,
+                               std::optional<std::uint64_t> fixed_version) {
   // This walk mirrors the consumption sites in secure_model.cpp — the
   // shapes below must match the Secure* layers' requests exactly or a
   // "warm" store will still miss.  PrefetchExactnessTest pins that
   // equivalence (miss count zero, store drained after the job).
+  TRUSTDDL_REQUIRE(!(training && fixed_version),
+                   "profile_step_demand: training never uses fixed operands");
   const bool masked = trunc_mode == TruncationMode::kMaskedOpen;
   DemandPlan plan;
   std::size_t features = spec.input_features;
-  for (const nn::LayerSpec& layer : spec.layers) {
+  for (std::size_t slot = 0; slot < spec.layers.size(); ++slot) {
+    const nn::LayerSpec& layer = spec.layers[slot];
     switch (layer.kind) {
       case nn::LayerSpec::Kind::kDense: {
-        // forward: one matmul triple + masked rescale of the product.
-        plan.add(mpc::TripleKey::matmul(batch_rows, layer.in, layer.out), 1);
+        // forward: one matmul triple (or fixed-operand entry) + masked
+        // rescale of the product.
+        plan.add(fixed_version
+                     ? mpc::TripleKey::fixed_triple(slot, *fixed_version,
+                                                    batch_rows, layer.in,
+                                                    layer.out)
+                     : mpc::TripleKey::matmul(batch_rows, layer.in, layer.out),
+                 1);
         if (masked) {
           plan.add(mpc::TripleKey::trunc_pair(Shape{batch_rows, layer.out}),
                    1);
@@ -260,10 +270,11 @@ void TriplePipeline::plan(const DemandPlan& plan) {
 }
 
 void TriplePipeline::plan_step(const nn::ModelSpec& spec, std::size_t rows,
-                               std::size_t depth_factor) {
-  DemandPlan step = profile_step_demand(spec, rows,
-                                        config_.resolved_trunc_mode(),
-                                        /*training=*/false);
+                               std::size_t depth_factor,
+                               std::uint64_t model_version) {
+  DemandPlan step =
+      profile_step_demand(spec, rows, config_.resolved_trunc_mode(),
+                          /*training=*/false, model_version);
   DemandPlan scaled;
   for (const auto& [key, count] : step.counts) {
     scaled.add(key, count * std::max<std::size_t>(depth_factor, 1));

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,11 +49,14 @@ struct DemandPlan {
 /// Material one training/inference step consumes for a batch of
 /// `batch_rows` samples: forward pass always; backward + SGD update
 /// when `training`.  Truncation pairs appear only in kMaskedOpen mode
-/// (local truncation consumes no material).  Mirrors the consumption
-/// sites in secure_model.cpp layer by layer.
-DemandPlan profile_step_demand(const nn::ModelSpec& spec,
-                               std::size_t batch_rows,
-                               TruncationMode trunc_mode, bool training);
+/// (local truncation consumes no material).  With `fixed_version`
+/// (serving over fixed operands opened under that model version) dense
+/// forwards take kFixedTriple entries instead of matmul triples.
+/// Mirrors the consumption sites in secure_model.cpp layer by layer.
+DemandPlan profile_step_demand(
+    const nn::ModelSpec& spec, std::size_t batch_rows,
+    TruncationMode trunc_mode, bool training,
+    std::optional<std::uint64_t> fixed_version = std::nullopt);
 
 /// Demand for a whole job: one step per entry of `batch_rows` (batches
 /// may differ in size — the trailing partial batch gets its own shape
@@ -94,11 +98,12 @@ class TriplePipeline {
   void plan(const DemandPlan& plan);
 
   /// Convenience for serving: plan `depth_factor` steps' worth of
-  /// demand for a batch of `rows` (adaptive steady-state planning —
-  /// the first manifest of a size pays the miss cost, later ones pop
-  /// prefetched entries).
+  /// demand for a batch of `rows` over the fixed operands of
+  /// `model_version` (adaptive steady-state planning — the first
+  /// manifest of a size pays the miss cost, later ones pop prefetched
+  /// entries).
   void plan_step(const nn::ModelSpec& spec, std::size_t rows,
-                 std::size_t depth_factor);
+                 std::size_t depth_factor, std::uint64_t model_version);
 
   /// Synchronous offline phase: refill every store to target.  Returns
   /// entries fetched.  No-op when prefetch is off.

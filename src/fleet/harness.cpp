@@ -90,7 +90,7 @@ FleetSessionResult run_fleet_session(
         serve_config.max_batches = config.crash_pod_after_batches;
       }
       serve::serve_model_owner_body(
-          config.spec, config.engine, models[p],
+          config.engine, models[p],
           networks[p]->endpoint(core::kModelOwner), serve_config,
           config.num_clients, &result.scheduler[p]);
     });

@@ -1,5 +1,8 @@
 #include "mpc/beaver.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.hpp"
 #include "numeric/fixed_point.hpp"
 
@@ -26,6 +29,21 @@ std::array<BeaverTripleShare, kNumParties> package_triple(
                                    c_views[index]};
   }
   return out;
+}
+
+/// Draws the plaintext mask B of a kFixedMask stream from `rng`, which
+/// must be seeded from entry 0 of the stream whatever index is being
+/// dealt.  B is drawn first, so the mask dealing and every kFixedTriple
+/// dealing against it see the same B.
+RingTensor fixed_mask_value(const TripleKey& mask_key, Rng& rng) {
+  return random_ring_tensor(Shape{mask_key.dims[2], mask_key.dims[3]}, rng);
+}
+
+void require_rank(const TripleKey& key, std::size_t rank) {
+  if (key.dims.size() != rank) {
+    throw InvalidArgument(std::string(triple_kind_name(key.kind)) +
+                          " key needs " + std::to_string(rank) + " dims");
+  }
 }
 
 /// splitmix64 finalizer: the standard 64-bit avalanche mix.
@@ -97,8 +115,21 @@ const char* triple_kind_name(TripleKind kind) {
       return "comp_aux";
     case TripleKind::kTruncPair:
       return "trunc_pair";
+    case TripleKind::kFixedMask:
+      return "fixed_mask";
+    case TripleKind::kFixedTriple:
+      return "fixed_triple";
   }
   return "unknown";
+}
+
+std::size_t material_entry_values(const TripleKey& key) {
+  const std::size_t skip = is_fixed_operand_kind(key.kind) ? 2 : 0;
+  std::size_t values = 1;
+  for (std::size_t i = skip; i < key.dims.size(); ++i) {
+    values *= std::max<std::size_t>(key.dims[i], 1);
+  }
+  return values;
 }
 
 std::size_t TripleKeyHash::operator()(const TripleKey& key) const {
@@ -126,6 +157,15 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t master_seed,
                                                      int frac_bits) {
   std::array<MaterialBatch, kNumParties> out;
+  // One B serves the whole range of a kFixedTriple request.
+  RingTensor fixed_b;
+  if (key.kind == TripleKind::kFixedTriple) {
+    require_rank(key, 5);
+    const TripleKey mask_key = TripleKey::fixed_mask(
+        key.dims[0], key.dims[1], key.dims[3], key.dims[4]);
+    Rng mask_rng(derive_material_seed(master_seed, mask_key, 0));
+    fixed_b = fixed_mask_value(mask_key, mask_rng);
+  }
   for (std::size_t i = 0; i < count; ++i) {
     // Fresh generator per entry: material is addressable by (key,
     // index) alone, independent of the range it was requested in.
@@ -164,6 +204,29 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
         for (int p = 0; p < kNumParties; ++p) {
           out[static_cast<std::size_t>(p)].pairs.push_back(
               views[static_cast<std::size_t>(p)]);
+        }
+        break;
+      }
+      case TripleKind::kFixedMask: {
+        require_rank(key, 4);
+        Rng mask_rng(derive_material_seed(master_seed, key, 0));
+        const RingTensor b = fixed_mask_value(key, mask_rng);
+        const auto views = share_secret(b, mask_rng);
+        for (int p = 0; p < kNumParties; ++p) {
+          out[static_cast<std::size_t>(p)].aux.push_back(
+              views[static_cast<std::size_t>(p)]);
+        }
+        break;
+      }
+      case TripleKind::kFixedTriple: {
+        const RingTensor a =
+            random_ring_tensor(Shape{key.dims[2], key.dims[3]}, rng);
+        const auto a_views = share_secret(a, rng);
+        const auto c_views = share_secret(matmul(a, fixed_b), rng);
+        for (int p = 0; p < kNumParties; ++p) {
+          const auto index = static_cast<std::size_t>(p);
+          out[index].triples.push_back(
+              BeaverTripleShare{a_views[index], {}, c_views[index]});
         }
         break;
       }

@@ -11,6 +11,9 @@
 //  * truncation pairs        (r, ⌊r/2^f⌋) for the exact masked-open
 //    fixed-point rescale (see protocols_bt.hpp for the two truncation
 //    strategies)
+// plus, for serving only, fixed-operand material: one mask B per
+// (dense layer, model version) whose F = W − B is opened once, and
+// per-batch (a, c = a×B) entries against it (DESIGN.md §10).
 //
 // Material is organized into *streams*: one FIFO sequence per
 // (kind, dims) shape class, addressed by a `TripleKey` and an entry
@@ -64,21 +67,37 @@ std::array<TruncPairShare, kNumParties> deal_trunc_pair(const Shape& shape,
 
 // --- Material streams -----------------------------------------------
 
-/// The four kinds of dealt material.  Values are wire/persistence
-/// format — do not renumber.
+/// The kinds of dealt material.  Values are wire/persistence format —
+/// do not renumber.
 enum class TripleKind : std::uint8_t {
   kMul = 0,
   kMatMul = 1,
   kCompAux = 2,
   kTruncPair = 3,
+  /// Serving only: the mask B [k,n] of one fixed weight operand.  Every
+  /// index of the stream deals the same B, so the F = W − B a party
+  /// opens after a restart is the value it opened before.
+  kFixedMask = 4,
+  /// Serving only: (a [m,k], c = a×B) against the kFixedMask of the
+  /// same layer slot and model version; the entry's `b` stays empty.
+  kFixedTriple = 5,
 };
+constexpr TripleKind kLastTripleKind = TripleKind::kFixedTriple;
+
+/// True for the two fixed-operand kinds, which a training dealer must
+/// refuse (DESIGN.md §9).
+inline bool is_fixed_operand_kind(TripleKind kind) {
+  return kind == TripleKind::kFixedMask || kind == TripleKind::kFixedTriple;
+}
 
 /// Stable lowercase name for metrics/logs ("mul", "matmul",
-/// "comp_aux", "trunc_pair").
+/// "comp_aux", "trunc_pair", "fixed_mask", "fixed_triple").
 const char* triple_kind_name(TripleKind kind);
 
 /// Identity of one material shape class.  For kMul / kCompAux /
-/// kTruncPair `dims` is the tensor shape; for kMatMul it is {m, k, n}.
+/// kTruncPair `dims` is the tensor shape; for kMatMul it is {m, k, n};
+/// the fixed-operand kinds prefix {k, n} / {m, k, n} with the layer
+/// slot and the model version.
 struct TripleKey {
   TripleKind kind = TripleKind::kMul;
   Shape dims;
@@ -99,7 +118,21 @@ struct TripleKey {
   static TripleKey trunc_pair(const Shape& shape) {
     return TripleKey{TripleKind::kTruncPair, shape};
   }
+  static TripleKey fixed_mask(std::size_t slot, std::uint64_t version,
+                              std::size_t k, std::size_t n) {
+    return TripleKey{TripleKind::kFixedMask, Shape{slot, version, k, n}};
+  }
+  static TripleKey fixed_triple(std::size_t slot, std::uint64_t version,
+                                std::size_t m, std::size_t k,
+                                std::size_t n) {
+    return TripleKey{TripleKind::kFixedTriple,
+                     Shape{slot, version, m, k, n}};
+  }
 };
+
+/// Values in one entry of `key`'s stream, by its shape dims (slot and
+/// version excluded): a bound for request validation.
+std::size_t material_entry_values(const TripleKey& key);
 
 struct TripleKeyHash {
   std::size_t operator()(const TripleKey& key) const;
@@ -114,8 +147,8 @@ std::uint64_t derive_material_seed(std::uint64_t master_seed,
 /// One party's view of a contiguous range of a material stream.
 /// Exactly one vector is populated, selected by the key's kind.
 struct MaterialBatch {
-  std::vector<BeaverTripleShare> triples;  ///< kMul / kMatMul
-  std::vector<PartyShare> aux;             ///< kCompAux
+  std::vector<BeaverTripleShare> triples;  ///< kMul / kMatMul / kFixedTriple
+  std::vector<PartyShare> aux;             ///< kCompAux / kFixedMask
   std::vector<TruncPairShare> pairs;       ///< kTruncPair
 
   std::size_t count() const {

@@ -8,22 +8,28 @@ namespace trustddl::mpc {
 namespace {
 
 /// Shared tail of SecMul-BT / SecMatMul-BT (Algorithm 4 lines 21-24):
-/// combine the opened masks e, f with the triple shares.  `product`
-/// abstracts elementwise vs matrix multiplication.
+/// combine the opened masks e, f with the triple shares (a, b, c).
+/// `product` abstracts elementwise vs matrix multiplication.
+template <typename ProductFn>
+PartyShare combine_masked(const RingTensor& e, const RingTensor& f,
+                          const PartyShare& a, const PartyShare& b,
+                          const PartyShare& c, const ProductFn& product) {
+  PartyShare z;
+  z.primary = c.primary + product(e, b.primary) + product(a.primary, f);
+  z.duplicate =
+      c.duplicate + product(e, b.duplicate) + product(a.duplicate, f);
+  // r = 2 in Algorithm 4: the e·f term goes into share 2 of every set,
+  // which each party holds for exactly one set.
+  z.second = c.second + product(e, b.second) + product(a.second, f) +
+             product(e, f);
+  return z;
+}
+
 template <typename ProductFn>
 PartyShare combine_with_triple(const RingTensor& e, const RingTensor& f,
                                const BeaverTripleShare& triple,
                                const ProductFn& product) {
-  PartyShare z;
-  z.primary = triple.c.primary + product(e, triple.b.primary) +
-              product(triple.a.primary, f);
-  z.duplicate = triple.c.duplicate + product(e, triple.b.duplicate) +
-                product(triple.a.duplicate, f);
-  // r = 2 in Algorithm 4: the e·f term goes into share 2 of every set,
-  // which each party holds for exactly one set.
-  z.second = triple.c.second + product(e, triple.b.second) +
-             product(triple.a.second, f) + product(e, f);
-  return z;
+  return combine_masked(e, f, triple.a, triple.b, triple.c, product);
 }
 
 RingTensor hadamard_product(const RingTensor& lhs, const RingTensor& rhs) {
@@ -236,6 +242,26 @@ PartyShare sec_matmul_bt(PartyContext& ctx, const PartyShare& x,
   DeferredShare z = sec_matmul_bt_prepare(batch, x, y, triple);
   batch.flush_all();
   return z.take();
+}
+
+PartyShare sec_matmul_bt_fixed(PartyContext& ctx, const PartyShare& x,
+                               const FixedOperand& w,
+                               const BeaverTripleShare& triple) {
+  TRUSTDDL_REQUIRE(x.shape().size() == 2 && w.f.shape().size() == 2 &&
+                       x.shape()[1] == w.f.shape()[0] &&
+                       triple.a.shape() == x.shape(),
+                   "sec_matmul_bt_fixed: incompatible operand shapes");
+  obs::ScopedSpan span("proto.sec_matmul_bt", ctx.party, ctx.step);
+  OpenBatch batch(ctx);
+  DeferredTensor e;
+  {
+    obs::ScopedSpan mask_span("proto.mask", ctx.party, ctx.step);
+    e = batch.enqueue_value(x - triple.a);
+  }
+  batch.flush_all();
+  obs::ScopedSpan combine_span("proto.combine", ctx.party);
+  return combine_masked(e.get(), w.f, triple.a, w.b, triple.c,
+                        matmul_product);
 }
 
 RingTensor sec_comp_bt(PartyContext& ctx, const PartyShare& x,

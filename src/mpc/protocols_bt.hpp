@@ -26,6 +26,23 @@ PartyShare sec_mul_bt(PartyContext& ctx, const PartyShare& x,
 PartyShare sec_matmul_bt(PartyContext& ctx, const PartyShare& x,
                          const PartyShare& y, const BeaverTripleShare& triple);
 
+/// A fixed right operand W [k,n] of SecMatMul-BT (serving): this
+/// party's shares of the dealer's mask B and the public F = W − B,
+/// opened once per (layer, model version).  F hides W because B is
+/// uniform and masks nothing else (DESIGN.md §9).
+struct FixedOperand {
+  PartyShare b;
+  RingTensor f;
+};
+
+/// One-sided SecMatMul-BT: z = x × W for a fixed operand W.  `triple`
+/// holds (a, c = a×B) for W's mask B (its `b` is unused), so only
+/// E = x − a is opened; the combine is Algorithm 4's
+/// c + E·B + a·F + E·F with the stored B and F.
+PartyShare sec_matmul_bt_fixed(PartyContext& ctx, const PartyShare& x,
+                               const FixedOperand& w,
+                               const BeaverTripleShare& triple);
+
 /// Elementwise comparison (Algorithm 5): returns sign(x - y) publicly
 /// as a tensor with elements 1, 0 or 2^64-1 (i.e. -1 in the ring).
 /// `t_aux` are shares of the dealer's positive masking values.

@@ -44,4 +44,16 @@ TruncPairShare read_trunc_pair(ByteReader& reader) {
   return pair;
 }
 
+void write_fixed_triple(ByteWriter& writer, const BeaverTripleShare& triple) {
+  write_party_share(writer, triple.a);
+  write_party_share(writer, triple.c);
+}
+
+BeaverTripleShare read_fixed_triple(ByteReader& reader) {
+  BeaverTripleShare triple;
+  triple.a = read_party_share(reader);
+  triple.c = read_party_share(reader);
+  return triple;
+}
+
 }  // namespace trustddl::mpc

@@ -110,9 +110,11 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
     switch (key.kind) {
       case TripleKind::kMul:
       case TripleKind::kMatMul:
+      case TripleKind::kFixedTriple:
         slot.triple = std::move(batch.triples.at(0));
         break;
       case TripleKind::kCompAux:
+      case TripleKind::kFixedMask:
         slot.aux = std::move(batch.aux.at(0));
         break;
       case TripleKind::kTruncPair:
@@ -206,9 +208,11 @@ std::size_t TripleStore::fill_locked(const TripleKey& key, KeyQueue& queue,
     switch (key.kind) {
       case TripleKind::kMul:
       case TripleKind::kMatMul:
+      case TripleKind::kFixedTriple:
         slot.triple = std::move(batch.triples[i]);
         break;
       case TripleKind::kCompAux:
+      case TripleKind::kFixedMask:
         slot.aux = std::move(batch.aux[i]);
         break;
       case TripleKind::kTruncPair:
@@ -316,7 +320,11 @@ void TripleStore::save(const std::string& path,
         case TripleKind::kMatMul:
           write_beaver_share(writer, slot.triple);
           break;
+        case TripleKind::kFixedTriple:
+          write_fixed_triple(writer, slot.triple);
+          break;
         case TripleKind::kCompAux:
+        case TripleKind::kFixedMask:
           write_party_share(writer, slot.aux);
           break;
         case TripleKind::kTruncPair:
@@ -370,7 +378,7 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
   for (std::uint64_t k = 0; k < num_keys; ++k) {
     TripleKey key;
     key.kind = static_cast<TripleKind>(reader.read_u8());
-    if (key.kind > TripleKind::kTruncPair) {
+    if (key.kind > kLastTripleKind) {
       throw SerializationError("triple store: unknown material kind");
     }
     const std::uint64_t rank = reader.read_u64();
@@ -410,7 +418,11 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
         case TripleKind::kMatMul:
           slot.triple = read_beaver_share(reader);
           break;
+        case TripleKind::kFixedTriple:
+          slot.triple = read_fixed_triple(reader);
+          break;
         case TripleKind::kCompAux:
+        case TripleKind::kFixedMask:
           slot.aux = read_party_share(reader);
           break;
         case TripleKind::kTruncPair:

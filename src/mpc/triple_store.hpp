@@ -64,6 +64,20 @@ class TripleStore {
   TruncPairShare trunc_pair(const Shape& shape) {
     return std::move(pop(TripleKey::trunc_pair(shape)).pair);
   }
+  /// Serving only: this party's shares of the mask B [k,n] of the fixed
+  /// operand in layer `slot` under model `version`.
+  PartyShare fixed_mask(std::size_t slot, std::uint64_t version,
+                        std::size_t k, std::size_t n) {
+    return std::move(pop(TripleKey::fixed_mask(slot, version, k, n)).aux);
+  }
+  /// Serving only: (a [m,k], c = a×B) for that fixed operand; `b` is
+  /// empty.
+  BeaverTripleShare fixed_triple(std::size_t slot, std::uint64_t version,
+                                 std::size_t m, std::size_t k,
+                                 std::size_t n) {
+    return std::move(
+        pop(TripleKey::fixed_triple(slot, version, m, k, n)).triple);
+  }
 
   /// Raise the refill target for `key` to at least `count` entries and
   /// reserve ring capacity.  NOT safe concurrently with pops of the

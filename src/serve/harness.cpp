@@ -84,7 +84,7 @@ SessionResult run_serving_session(
 
   std::vector<std::function<void()>> bodies;
   bodies.emplace_back([&] {
-    serve_model_owner_body(config.spec, config.engine, model,
+    serve_model_owner_body(config.engine, model,
                            network.endpoint(core::kModelOwner), config.serve,
                            config.num_clients, &result.scheduler);
   });

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/sha256.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,6 +20,10 @@ constexpr const char* kLog = "serve.server";
 /// Generous bound for the next manifest: the owner may legitimately be
 /// idle while no client has anything to ask.
 constexpr auto kManifestTimeout = std::chrono::seconds(60);
+
+/// Sent after the parameter shares: the served model's version.
+constexpr const char* kModelVersionTag = "init/version";
+constexpr auto kModelVersionTimeout = std::chrono::seconds(60);
 
 /// Byzantine result corruption: a constant offset on every component —
 /// the share frame stays well-formed, the reconstructed value is junk.
@@ -37,15 +42,22 @@ mpc::PartyShare corrupted(const mpc::PartyShare& share) {
 InferenceServer::InferenceServer(int party, net::Endpoint endpoint,
                                  ServerOptions options,
                                  core::TriplePipeline& pipeline,
-                                 const nn::ModelSpec& spec)
+                                 const nn::ModelSpec& spec,
+                                 std::uint64_t model_version)
     : party_(party),
       endpoint_(endpoint),
       options_(std::move(options)),
       pipeline_(pipeline),
-      spec_(spec) {}
+      spec_(spec),
+      model_version_(model_version) {}
 
 bool InferenceServer::run(core::SecureModel& model,
                           core::SecureExecContext& ctx) {
+  // The weights never change while serving, so every dense layer's
+  // F = W − B is opened once, here, and each batch then opens only its
+  // input's mask (DESIGN.md §9).
+  fixed_ = model.open_fixed_operands(ctx, model_version_);
+  ctx.fixed = &fixed_;
   for (std::uint64_t index = 0;; ++index) {
     // Poll for the next manifest, spending idle gaps on triple-store
     // refills (the serving variant of the offline phase): with
@@ -130,7 +142,7 @@ bool InferenceServer::run(core::SecureModel& model,
     for (const auto& entry : manifest.entries) {
       total_rows += entry.rows;
     }
-    pipeline_.plan_step(spec_, total_rows, 2);
+    pipeline_.plan_step(spec_, total_rows, 2, model_version_);
 
     if (options_.max_batches != 0 && batches_ >= options_.max_batches) {
       TRUSTDDL_LOG_WARN(kLog) << "party " << party_
@@ -148,6 +160,9 @@ mpc::DetectionLog serve_computing_party_body(
   core::OwnerLink link(endpoint, party, options.owner_link_timeout);
   core::SecureModel model(spec,
                           core::receive_parameters(endpoint, param_count));
+  ByteReader version_reader(
+      endpoint.recv(core::kModelOwner, kModelVersionTag, kModelVersionTimeout));
+  const std::uint64_t model_version = version_reader.read_u64();
 
   // Serving uses the idle-poll refill inside InferenceServer::run
   // rather than a producer thread: the gaps between manifests are the
@@ -157,7 +172,8 @@ mpc::DetectionLog serve_computing_party_body(
   mpc::PartyContext pctx = core::make_party_context(config, party, endpoint);
   core::SecureExecContext sctx =
       core::make_exec_context(config, pctx, link, pipeline.store());
-  InferenceServer server(party, endpoint, options, pipeline, spec);
+  InferenceServer server(party, endpoint, options, pipeline, spec,
+                         model_version);
   const bool clean = server.run(model, sctx);
   if (batches_out != nullptr) {
     *batches_out = server.batches_executed();
@@ -169,18 +185,43 @@ mpc::DetectionLog serve_computing_party_body(
   return pctx.detections;
 }
 
-void serve_model_owner_body(const nn::ModelSpec& spec,
-                            const core::EngineConfig& config,
+std::uint64_t serving_model_version(nn::Sequential& model, int frac_bits,
+                                    std::uint64_t dealing_seed) {
+  Sha256 hasher;
+  ByteWriter key;
+  key.write_u64(dealing_seed);
+  hasher.update(key.bytes());
+  for (const nn::Parameter* parameter : model.parameters()) {
+    const RingTensor ring = to_ring(parameter->value, frac_bits);
+    hasher.update(reinterpret_cast<const std::uint8_t*>(ring.data()),
+                  ring.size() * sizeof(std::uint64_t));
+  }
+  const Sha256Digest digest = hasher.finish();
+  std::uint64_t version = 0;
+  for (std::size_t i = 0; i < sizeof(version); ++i) {
+    version = (version << 8) | digest[i];
+  }
+  return version;
+}
+
+void serve_model_owner_body(const core::EngineConfig& config,
                             nn::Sequential& model, net::Endpoint endpoint,
                             const ServeConfig& serve_config, int num_clients,
                             SchedulerStats* stats_out) {
+  const core::OwnerServiceConfig owner_config =
+      core::make_owner_service_config(config, /*training=*/false);
   // Same parameter-sharing seed derivation as one-shot inference, so a
   // serving deployment distributes bit-identical parameter shares.
   Rng rng(config.seed * 59 + 29);
   core::share_parameters(model, endpoint, config.frac_bits, rng);
+  ByteWriter version;
+  version.write_u64(
+      serving_model_version(model, config.frac_bits, owner_config.seed));
+  for (int party = 0; party < core::kComputingParties; ++party) {
+    endpoint.send(party, kModelVersionTag, version.bytes());
+  }
 
-  core::ModelOwnerService service(
-      endpoint, core::make_owner_service_config(config, /*training=*/false));
+  core::ModelOwnerService service(endpoint, owner_config);
   std::exception_ptr service_error;
   std::thread service_thread([&] {
     try {

@@ -48,12 +48,17 @@ class InferenceServer {
   /// tops its store up instead of idling, and after each executed
   /// batch it raises the per-shape targets from the batch's demand
   /// (profiled from `spec`) so repeat batch sizes pop prefetched
-  /// material.  Both must outlive run().
+  /// material.  Both must outlive run().  `model_version` is the
+  /// owner's version of the served weights (serving_model_version); it
+  /// keys the fixed-operand material.
   InferenceServer(int party, net::Endpoint endpoint, ServerOptions options,
-                  core::TriplePipeline& pipeline, const nn::ModelSpec& spec);
+                  core::TriplePipeline& pipeline, const nn::ModelSpec& spec,
+                  std::uint64_t model_version);
 
-  /// Serve manifests until the owner's shutdown manifest (returns
-  /// true) or the max_batches crash point (returns false).
+  /// Open every dense layer's fixed operand (one batched opening), then
+  /// serve manifests until the owner's shutdown manifest (returns true)
+  /// or the max_batches crash point (returns false).  Leaves
+  /// ctx.fixed pointing into this server.
   bool run(core::SecureModel& model, core::SecureExecContext& ctx);
 
   std::size_t batches_executed() const { return batches_; }
@@ -65,12 +70,23 @@ class InferenceServer {
   std::size_t batches_ = 0;
   core::TriplePipeline& pipeline_;
   const nn::ModelSpec& spec_;
+  std::uint64_t model_version_;
+  core::FixedOperands fixed_;
 };
+
+/// Version of the weights an owner serves: a digest of `model`'s
+/// fixed-point parameters keyed by the owner's dealing seed, so the
+/// computing parties that receive it cannot test a guessed model
+/// against it.  New weights get new fixed-operand masks (DESIGN.md
+/// §9).
+std::uint64_t serving_model_version(nn::Sequential& model, int frac_bits,
+                                    std::uint64_t dealing_seed);
 
 /// Full serving actor bodies, mirroring core/actors.hpp: identical
 /// EngineConfig-derived seeds/contexts in-process and multi-process.
 
-/// Computing party: receive parameter shares, then serve batches.
+/// Computing party: receive parameter shares and the model version,
+/// then serve batches.
 /// Returns the party's detection log.  `batches_out`, if non-null,
 /// receives the number of batches executed.
 mpc::DetectionLog serve_computing_party_body(
@@ -78,12 +94,11 @@ mpc::DetectionLog serve_computing_party_body(
     std::size_t param_count, int party, net::Endpoint endpoint,
     const ServerOptions& options, std::size_t* batches_out = nullptr);
 
-/// Model owner: share parameters, then run the owner service (unary/
-/// collective requests) and the batch scheduler side by side until the
-/// parties stop.  `stats_out`, if non-null, receives the scheduler's
-/// request ledger.
-void serve_model_owner_body(const nn::ModelSpec& spec,
-                            const core::EngineConfig& config,
+/// Model owner: share parameters and the model version, then run the
+/// owner service (unary/collective requests) and the batch scheduler
+/// side by side until the parties stop.  `stats_out`, if non-null,
+/// receives the scheduler's request ledger.
+void serve_model_owner_body(const core::EngineConfig& config,
                             nn::Sequential& model, net::Endpoint endpoint,
                             const ServeConfig& serve_config, int num_clients,
                             SchedulerStats* stats_out = nullptr);

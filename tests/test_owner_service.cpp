@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "core/actors.hpp"
 #include "core/owner_link.hpp"
 #include "mpc/triple_store.hpp"
 #include "mpc/robust_reconstruct.hpp"
@@ -75,6 +76,26 @@ TEST(OwnerServiceTest, DealsConsistentTriplesToAllParties) {
   const RingTensor c =
       reconstruct([](const mpc::BeaverTripleShare& t) { return t.c; });
   EXPECT_EQ(matmul(a, b), c);
+}
+
+TEST(OwnerServiceTest, TrainingOwnerRefusesFixedOperandMaterial) {
+  net::Network network(net::NetworkConfig{
+      .num_parties = kNumActors,
+      .recv_timeout = std::chrono::milliseconds(2000)});
+  ModelOwnerService service(
+      network.endpoint(kModelOwner),
+      make_owner_service_config(EngineConfig{}, /*training=*/true));
+  std::thread thread([&] { service.run(); });
+  net::run_parties(3, [&](net::PartyId party) {
+    OwnerLink link(network.endpoint(party), party);
+    mpc::TripleStore store(link, party);
+    EXPECT_THROW((void)store.fixed_mask(1, 7, 4, 2), MaterialRefused);
+    EXPECT_THROW((void)store.fixed_triple(1, 7, 2, 4, 2), MaterialRefused);
+    // Per-multiplication triples still flow.
+    EXPECT_EQ(store.matmul_triple(2, 3, 2).a.shape(), (Shape{2, 3}));
+    link.stop();
+  });
+  thread.join();
 }
 
 TEST(OwnerServiceTest, SoftmaxCollectiveMatchesPlaintext) {

@@ -204,6 +204,154 @@ INSTANTIATE_TEST_SUITE_P(
             ByzantineConfig::Behavior::kCommitmentViolationGlobal,
             ByzantineConfig::Behavior::kCommitmentViolationSingle)));
 
+// --- One-sided SecMatMul-BT over a fixed operand -----------------------
+
+constexpr std::size_t kFixedSlot = 1;
+constexpr std::uint64_t kFixedVersion = 0x5e12e;
+
+/// Corrupts this party's shares in its first opening only — the
+/// F = W − B opening of a fixed operand — consistently across the
+/// commitment and the exchange (Case 3).
+class CorruptFirstOpening final : public AdversaryHooks {
+ public:
+  void before_commit(std::uint64_t /*step*/,
+                     std::vector<PartyShare>& triples) override {
+    if (attacked_) {
+      return;
+    }
+    attacked_ = true;
+    for (auto& share : triples) {
+      for (auto& value : share.primary.values()) value += 0x1234567;
+      for (auto& value : share.duplicate.values()) value += 0x7654321;
+      for (auto& value : share.second.values()) value += 0xabcdef;
+    }
+  }
+
+ private:
+  bool attacked_ = false;
+};
+
+/// Runs the serving pattern at every party: open F = W − B once, then
+/// two one-sided products against it.  Returns each party's opened F
+/// and its raw (untruncated) product shares.
+struct FixedOperandRun {
+  std::array<RingTensor, 3> f;
+  std::array<std::array<PartyShare, 3>, 2> products;  // [batch][party]
+};
+
+FixedOperandRun run_fixed_operand(ThreePartyHarness& harness,
+                                  const std::array<PartyShare, 3>& w_views,
+                                  const std::array<std::array<PartyShare, 3>,
+                                                   2>& x_views,
+                                  testing::PartyTriples& dealer) {
+  FixedOperandRun run;
+  harness.run([&](PartyContext& ctx) {
+    const auto index = static_cast<std::size_t>(ctx.party);
+    TripleStore& store = dealer[ctx.party];
+    FixedOperand operand;
+    operand.b = store.fixed_mask(kFixedSlot, kFixedVersion, 6, 4);
+    operand.f = open_value(ctx, w_views[index] - operand.b);
+    run.f[index] = operand.f;
+    for (std::size_t b = 0; b < 2; ++b) {
+      run.products[b][index] = sec_matmul_bt_fixed(
+          ctx, x_views[b][index], operand,
+          store.fixed_triple(kFixedSlot, kFixedVersion, 3, 6, 4));
+    }
+  });
+  return run;
+}
+
+struct FixedOperandFixture {
+  RingTensor w;
+  std::array<RingTensor, 2> x;
+  std::array<PartyShare, 3> w_views;
+  std::array<std::array<PartyShare, 3>, 2> x_views;
+  RingTensor mask;  // the dealer's plaintext B
+
+  explicit FixedOperandFixture(std::uint64_t seed, std::uint64_t dealer_seed) {
+    Rng rng(seed);
+    w = to_ring(random_real(Shape{6, 4}, rng, 2.0), kF);
+    w_views = share_secret(w, rng);
+    for (std::size_t b = 0; b < 2; ++b) {
+      x[b] = to_ring(random_real(Shape{3, 6}, rng, 2.0), kF);
+      x_views[b] = share_secret(x[b], rng);
+    }
+    const auto views = deal_material(
+        TripleKey::fixed_mask(kFixedSlot, kFixedVersion, 6, 4), 0, 1,
+        dealer_seed, kF);
+    mask = reconstruct(std::array<PartyShare, 3>{
+        views[0].aux[0], views[1].aux[0], views[2].aux[0]});
+  }
+};
+
+TEST(SecMatMulBtFixedTest, ProductsMatchPlaintextAndOpenOnlyTheInputMask) {
+  ThreePartyHarness harness;
+  FixedOperandFixture fixture(29, 888);
+  testing::PartyTriples dealer(888, kF);
+  const FixedOperandRun run =
+      run_fixed_operand(harness, fixture.w_views, fixture.x_views, dealer);
+  for (std::size_t party = 0; party < 3; ++party) {
+    EXPECT_EQ(run.f[party], fixture.w - fixture.mask);
+  }
+  // Products are exact in the ring (no truncation applied here).
+  for (std::size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(reconstruct(run.products[b]), matmul(fixture.x[b], fixture.w))
+        << "batch " << b;
+  }
+  // One opening for F, then one per product: each product opens only
+  // E = x − a, never a weight-sized value.
+  EXPECT_EQ(harness.contexts[0].detections.opens, 3u);
+  EXPECT_EQ(harness.contexts[0].detections.values_opened, 3u);
+}
+
+class SecMatMulFixedByzantineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SecMatMulFixedByzantineTest, CorruptedShareOfFIsOutvoted) {
+  const int byzantine = GetParam();
+  ThreePartyHarness harness;
+  CorruptFirstOpening adversary;
+  harness.contexts[static_cast<std::size_t>(byzantine)].adversary = &adversary;
+  FixedOperandFixture fixture(30, 889);
+  testing::PartyTriples dealer(889, kF);
+  const FixedOperandRun run =
+      run_fixed_operand(harness, fixture.w_views, fixture.x_views, dealer);
+
+  for (int party = 0; party < 3; ++party) {
+    if (party != byzantine) {
+      EXPECT_EQ(run.f[static_cast<std::size_t>(party)],
+                fixture.w - fixture.mask)
+          << "honest party " << party << " adopted a corrupted F";
+    }
+  }
+  // Honest products stay exact: the set whose both halves are held by
+  // honest parties reconstructs x × W bit for bit.
+  for (std::size_t b = 0; b < 2; ++b) {
+    const RingTensor expected = matmul(fixture.x[b], fixture.w);
+    for (int set = 0; set < kNumSets; ++set) {
+      const int p1 = holder_of_primary(set);
+      const int p2 = holder_of_second(set);
+      if (p1 == byzantine || p2 == byzantine) {
+        continue;
+      }
+      EXPECT_EQ(run.products[b][static_cast<std::size_t>(p1)].primary +
+                    run.products[b][static_cast<std::size_t>(p2)].second,
+                expected)
+          << "batch " << b << " set " << set;
+    }
+  }
+  for (int party = 0; party < 3; ++party) {
+    if (party != byzantine) {
+      EXPECT_GT(harness.contexts[static_cast<std::size_t>(party)]
+                    .detections.events.size(),
+                0u)
+          << "party " << party << " saw no anomaly";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Parties, SecMatMulFixedByzantineTest,
+                         ::testing::Values(0, 1, 2));
+
 TEST(SecMulBtTest, ChainedMultiplicationsStayAccurate) {
   // x * y * w with re-truncation between steps: exercises triple reuse
   // ordering and accumulation of fixed-point error.

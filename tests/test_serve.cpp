@@ -10,11 +10,13 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/actors.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/harness.hpp"
+#include "serve/server.hpp"
 #include "serve/wire.hpp"
 
 namespace trustddl::serve {
@@ -304,6 +306,99 @@ TEST(ServeSessionTest, CoalescesConcurrentRequestsIntoBatches) {
   for (const std::size_t batches : session.party_batches) {
     EXPECT_EQ(batches, session.scheduler.batches);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-operand serving (DESIGN.md §9): each dense layer's F = W − B
+// is opened once per server start, batches open only their inputs'
+// masks.
+
+class ServeFixedOperandTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServeFixedOperandTest, LabelsMatchEngineInferOnTheBenchRowPool) {
+  // The repository benchmark's row pool and model: synthetic MNIST
+  // (seed 42, 64 test rows) through the Table I CNN, malicious mode,
+  // default local truncation.
+  constexpr std::size_t kRows = 64;
+  const data::Dataset pool = query_split(kRows).test;
+
+  SessionConfig config;
+  config.spec = nn::mnist_cnn_spec();
+  config.engine = fast_engine();
+  config.engine.seed = 7;
+  config.serve.max_batch_rows = GetParam();
+  config.serve.batch_window = milliseconds(50);
+  config.client.deadline = milliseconds(120000);
+  config.client.response_timeout = milliseconds(120000);
+
+  std::vector<InferenceResult> results(kRows);
+  const SessionResult session = run_serving_session(
+      config, [&](int, InferenceClient& client) {
+        std::vector<std::uint64_t> seqs(kRows);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          seqs[r] = client.submit(data::slice(pool, r, 1).images);
+        }
+        for (std::size_t r = 0; r < kRows; ++r) {
+          results[r] = client.await(seqs[r], 1);
+        }
+      });
+
+  core::TrustDdlEngine engine(config.spec, config.engine);
+  const std::vector<std::size_t> expected =
+      engine.infer(pool, /*batch_size=*/8).labels;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    ASSERT_EQ(results[r].status, Status::kOk) << "row " << r;
+    EXPECT_EQ(results[r].labels[0], expected[r]) << "row " << r;
+  }
+  EXPECT_EQ(session.scheduler.batched_rows, kRows);
+  EXPECT_GE(session.scheduler.batches, kRows / GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchRows, ServeFixedOperandTest,
+                         ::testing::Values(1, 3, 8));
+
+TEST(ServeFixedOperandVersionTest, NewModelGetsFreshMaskAndF) {
+  // Two models under one dealing seed: distinct versions, so distinct
+  // masks, and F_new − F_old does not reveal W_new − W_old.
+  const nn::ModelSpec spec = nn::mnist_mlp_spec();
+  const core::EngineConfig engine = fast_engine();
+  const std::uint64_t dealing_seed =
+      core::make_owner_service_config(engine, /*training=*/false).seed;
+  Rng rng_old(1);
+  Rng rng_new(2);
+  nn::Sequential old_model = nn::build_model(spec, rng_old);
+  nn::Sequential new_model = nn::build_model(spec, rng_new);
+  const std::uint64_t v_old =
+      serving_model_version(old_model, engine.frac_bits, dealing_seed);
+  const std::uint64_t v_new =
+      serving_model_version(new_model, engine.frac_bits, dealing_seed);
+  ASSERT_NE(v_old, v_new);
+  EXPECT_EQ(v_old,
+            serving_model_version(old_model, engine.frac_bits, dealing_seed));
+  EXPECT_NE(v_old, serving_model_version(old_model, engine.frac_bits,
+                                         dealing_seed + 1));
+
+  std::size_t slot = 0;
+  while (spec.layers[slot].kind != nn::LayerSpec::Kind::kDense) {
+    ++slot;
+  }
+  const auto mask = [&](std::uint64_t version) {
+    const auto views = mpc::deal_material(
+        mpc::TripleKey::fixed_mask(slot, version, spec.layers[slot].in,
+                                   spec.layers[slot].out),
+        0, 1, dealing_seed, engine.frac_bits);
+    return mpc::reconstruct(std::array<mpc::PartyShare, 3>{
+        views[0].aux[0], views[1].aux[0], views[2].aux[0]});
+  };
+  const RingTensor w_old =
+      to_ring(old_model.parameters()[0]->value, engine.frac_bits);
+  const RingTensor w_new =
+      to_ring(new_model.parameters()[0]->value, engine.frac_bits);
+  const RingTensor f_old = w_old - mask(v_old);
+  const RingTensor f_new = w_new - mask(v_new);
+  EXPECT_NE(mask(v_old), mask(v_new));
+  EXPECT_NE(f_old, f_new);
+  EXPECT_NE(f_new - f_old, w_new - w_old);
 }
 
 TEST(ServeSessionTest, LedgerEquationHolds) {

@@ -336,6 +336,26 @@ TEST(TrainServiceTest, SuspendResumeIsBitIdentical) {
   std::filesystem::remove_all(store_dir);
 }
 
+TEST(TrainServiceTest, StoreNeverHoldsFixedOperandMaterial) {
+  // Training weights move every step, so a training store must never
+  // receive the serving-only fixed-operand kinds (DESIGN.md §9): the
+  // per-kind produced counters cover every entry any store ever held.
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::global().reset();
+
+  TrainSessionConfig session = base_session(3);
+  session.engine.triple_prefetch = true;
+  const TrainSessionResult result = run_training_session(session);
+  EXPECT_TRUE(result.clean);
+
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::global().snapshot();
+  obs::set_metrics_enabled(false);
+  EXPECT_GT(counter_value(snapshot, "triple.produced.matmul"), 0u);
+  EXPECT_EQ(counter_value(snapshot, "triple.produced.fixed_mask"), 0u);
+  EXPECT_EQ(counter_value(snapshot, "triple.produced.fixed_triple"), 0u);
+}
+
 TEST(TrainServiceTest, MetricsLedgersBalance) {
   obs::set_metrics_enabled(true);
   obs::MetricsRegistry::global().reset();

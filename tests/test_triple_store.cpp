@@ -176,6 +176,87 @@ TEST(TripleStoreTest, DiskRoundTripRestoresEntriesAndCursor) {
   std::remove(path.c_str());
 }
 
+// --- Fixed-operand material (serving) ------------------------------
+
+Bytes encode_fixed(const BeaverTripleShare& triple) {
+  ByteWriter writer;
+  write_fixed_triple(writer, triple);
+  return writer.take();
+}
+
+TEST(DerivedSeedTest, FixedTriplesMultiplyByTheLayersOneMask) {
+  const TripleKey mask_key = TripleKey::fixed_mask(3, 0xabc, 4, 2);
+  const auto first = deal_material(mask_key, 0, 1, kSeed, kF);
+  const auto later = deal_material(mask_key, 5, 1, kSeed, kF);
+  for (std::size_t party = 0; party < kNumParties; ++party) {
+    EXPECT_EQ(encode(first[party].aux[0]), encode(later[party].aux[0]))
+        << "every index of a mask stream deals the same B";
+  }
+  const RingTensor mask = reconstruct(
+      {first[0].aux[0], first[1].aux[0], first[2].aux[0]});
+
+  const auto triples = deal_material(TripleKey::fixed_triple(3, 0xabc, 5, 4, 2),
+                                     0, 3, kSeed, kF);
+  RingTensor previous_a;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const RingTensor a = reconstruct({triples[0].triples[i].a,
+                                            triples[1].triples[i].a,
+                                            triples[2].triples[i].a});
+    const RingTensor c = reconstruct({triples[0].triples[i].c,
+                                            triples[1].triples[i].c,
+                                            triples[2].triples[i].c});
+    EXPECT_EQ(matmul(a, mask), c) << "entry " << i;
+    EXPECT_NE(a, previous_a) << "entry " << i << " reuses a";
+    previous_a = a;
+  }
+  // Another slot or model version gets another mask.
+  EXPECT_NE(encode(stream_entry(mask_key, 0).aux[0]),
+            encode(stream_entry(TripleKey::fixed_mask(4, 0xabc, 4, 2), 0)
+                       .aux[0]));
+  EXPECT_NE(encode(stream_entry(mask_key, 0).aux[0]),
+            encode(stream_entry(TripleKey::fixed_mask(3, 0xabd, 4, 2), 0)
+                       .aux[0]));
+}
+
+TEST(TripleStoreTest, DiskRoundTripRestoresFixedOperandStreams) {
+  const std::string path = ::testing::TempDir() + "triple_store_fixed.bin";
+  std::remove(path.c_str());
+  const std::uint64_t provenance = 0xfeedULL;
+  const TripleKey mask_key = TripleKey::fixed_mask(2, 0x5eed, 4, 3);
+  const TripleKey triple_key = TripleKey::fixed_triple(2, 0x5eed, 2, 4, 3);
+
+  {
+    DealerBackend backend(kSeed, kF, /*party=*/1);
+    TripleStore store(backend, /*party=*/1);
+    store.demand(mask_key, 1);
+    store.demand(triple_key, 4);
+    store.refill_toward_targets(8);
+    (void)store.fixed_mask(2, 0x5eed, 4, 3);
+    (void)store.fixed_triple(2, 0x5eed, 2, 4, 3);  // consume entry 0
+    store.save(path, provenance);
+  }
+
+  DealerBackend backend(kSeed, kF, /*party=*/1);
+  TripleStore restored(backend, /*party=*/1);
+  ASSERT_TRUE(restored.load(path, provenance));
+  EXPECT_EQ(restored.depth(triple_key), 3u);
+  EXPECT_EQ(restored.consumed(triple_key), 1u);
+  EXPECT_EQ(restored.consumed(mask_key), 1u);
+
+  // The (a, c) stream resumes at entry 1: entries 1..3 from the file,
+  // entry 4 on demand, each identical to a fresh dealing.
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    const auto dealt = deal_material(triple_key, i, 1, kSeed, kF);
+    EXPECT_EQ(encode_fixed(restored.fixed_triple(2, 0x5eed, 2, 4, 3)),
+              encode_fixed(dealt[1].triples[0]))
+        << "entry " << i;
+  }
+  // A restarted server re-fetches its mask past the cursor: same B.
+  EXPECT_EQ(encode(restored.fixed_mask(2, 0x5eed, 4, 3)),
+            encode(deal_material(mask_key, 0, 1, kSeed, kF)[1].aux[0]));
+  std::remove(path.c_str());
+}
+
 // --- Corrupt TDST files ---------------------------------------------
 
 constexpr std::uint64_t kProvenance = 0xfeedULL;
