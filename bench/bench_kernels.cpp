@@ -1,5 +1,5 @@
 // Compute-kernel microbenchmark: scalar vs SIMD matmul kernels and
-// the auto-tuned dispatcher (numeric/kernels.hpp) on the matrix
+// the shape-dispatching matmul (numeric/kernels.hpp) on the matrix
 // shapes the Table I CNN actually produces, plus the elementwise /
 // digest micro-kernels the protocols lean on.
 //
@@ -26,7 +26,7 @@
 //   blocked Nt     — cache-blocked kernel on the thread pool (skipped
 //                    when the container only exposes one hardware
 //                    thread: a serial pool makes the column noise)
-//   dispatch       — kernels::matmul, i.e. the auto-tuned crossover the
+//   dispatch       — kernels::matmul, i.e. the L2-sized crossover the
 //                    protocols actually call
 //
 // Ring results are asserted bit-identical across every kernel and

@@ -185,7 +185,7 @@ def check_triple_section(metrics):
     if not any(name.startswith("triple.produced.") for name in counters):
         return
     for kind in ("mul", "matmul", "comp_aux", "trunc_pair", "fixed_mask",
-                 "fixed_triple"):
+                 "fixed_triple", "fixed_conv_triple"):
         produced = counters.get("triple.produced." + kind, 0)
         consumed = counters.get("triple.consumed." + kind, 0)
         depth_gauge = metrics["gauges"].get("triple.store.depth." + kind)

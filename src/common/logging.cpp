@@ -36,7 +36,9 @@ std::string iso8601_now() {
       duration_cast<milliseconds>(now.time_since_epoch()).count() % 1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buffer[40];
+  // Sized for the worst case gcc must assume: seven plain-int fields
+  // of up to 11 characters each, seven literal characters and the NUL.
+  char buffer[7 * 11 + 7 + 1];
   std::snprintf(buffer, sizeof(buffer),
                 "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", utc.tm_year + 1900,
                 utc.tm_mon + 1, utc.tm_mday, utc.tm_hour, utc.tm_min,

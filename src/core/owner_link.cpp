@@ -71,6 +71,7 @@ mpc::MaterialBatch OwnerLink::fill(const mpc::TripleKey& key,
         batch.triples.push_back(mpc::read_beaver_share(response));
         break;
       case mpc::TripleKind::kFixedTriple:
+      case mpc::TripleKind::kFixedConvTriple:
         batch.triples.push_back(mpc::read_fixed_triple(response));
         break;
       case mpc::TripleKind::kCompAux:

@@ -15,7 +15,7 @@ constexpr const char* kLog = "core.owner";
 
 Shape read_shape(ByteReader& reader) {
   const std::uint64_t rank = reader.read_u64();
-  if (rank > 8) {
+  if (rank > mpc::kMaxTripleKeyDims) {
     throw SerializationError("shape rank too large");
   }
   Shape shape(rank);
@@ -158,7 +158,9 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
     if (count == 0 || count > config_.max_batch_entries) {
       throw ProtocolError("fill count out of bounds");
     }
-    if (mpc::material_entry_values(key) * count > (std::size_t{1} << 28)) {
+    // Throws InvalidArgument on a key whose dims are invalid or
+    // overflow, before anything is dealt.
+    if (mpc::material_entry_values(key) > (std::size_t{1} << 28) / count) {
       throw ProtocolError("fill request too large");
     }
     if (config_.training && mpc::is_fixed_operand_kind(key.kind)) {
@@ -188,6 +190,7 @@ void ModelOwnerService::handle_unary(int party, const Bytes& payload,
           }
           break;
         case mpc::TripleKind::kFixedTriple:
+        case mpc::TripleKind::kFixedConvTriple:
           for (const auto& triple : view.triples) {
             mpc::write_fixed_triple(writer, triple);
           }

@@ -155,13 +155,22 @@ mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
   const std::size_t batch = input.shape()[0];
   cached_batch_ = batch;
   const std::size_t pixels = spec_.col_cols();
-  cached_columns_ = mpc::transform_share(input, [&](const RingTensor& x) {
-    return batch_im2col(x, spec_);
-  });
-  const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
-      spec_.out_channels, spec_.col_rows(), batch * pixels);
-  mpc::PartyShare maps = ctx.rescale(mpc::sec_matmul_bt(
-      *ctx.mpc, weights_.value, cached_columns_, triple));
+  mpc::PartyShare product;
+  if (const mpc::FixedOperand* fixed = find_fixed(ctx, slot_)) {
+    cached_columns_ = mpc::PartyShare{};
+    const mpc::BeaverTripleShare triple = ctx.triples->fixed_conv_triple(
+        slot_, ctx.fixed->version, batch, spec_);
+    product = mpc::sec_conv_bt_fixed(*ctx.mpc, input, *fixed, triple, spec_);
+  } else {
+    cached_columns_ = mpc::transform_share(input, [&](const RingTensor& x) {
+      return batch_im2col(x, spec_);
+    });
+    const mpc::BeaverTripleShare triple = ctx.triples->matmul_triple(
+        spec_.out_channels, spec_.col_rows(), batch * pixels);
+    product = mpc::sec_matmul_bt(*ctx.mpc, weights_.value, cached_columns_,
+                                 triple);
+  }
+  mpc::PartyShare maps = ctx.rescale(product);
   add_col_broadcast(maps, bias_.value);
   return mpc::transform_share(maps, [&](const RingTensor& m) {
     return maps_to_rows(m, batch, pixels);
@@ -171,6 +180,8 @@ mpc::PartyShare SecureConv::forward(SecureExecContext& ctx,
 mpc::PartyShare SecureConv::backward(SecureExecContext& ctx,
                                      const mpc::PartyShare& grad_output) {
   obs::ScopedSpan span("layer.conv.backward", ctx.mpc->party, ctx.mpc->step);
+  TRUSTDDL_REQUIRE(!cached_columns_.shape().empty(),
+                   "secure conv: backward without a training forward");
   const std::size_t batch = cached_batch_;
   const std::size_t pixels = spec_.col_cols();
   const mpc::PartyShare grad_maps =
@@ -379,7 +390,7 @@ SecureModel::SecureModel(const nn::ModelSpec& spec,
         mpc::PartyShare weights = take();
         mpc::PartyShare bias = take();
         layers_.push_back(std::make_unique<SecureConv>(
-            layer.conv, std::move(weights), std::move(bias)));
+            layer.conv, std::move(weights), std::move(bias), layers_.size()));
         break;
       }
       case nn::LayerSpec::Kind::kDense: {
@@ -433,7 +444,10 @@ FixedOperands SecureModel::open_fixed_operands(SecureExecContext& ctx,
   fixed.version = version;
   std::vector<std::pair<std::size_t, mpc::DeferredTensor>> opened;
   for (std::size_t slot = 0; slot < layers_.size(); ++slot) {
-    if (dynamic_cast<SecureDense*>(layers_[slot].get()) == nullptr) {
+    // Only dense and conv layers have weights.  Dense W is [in, out]
+    // and conv W is [out, C·kh·kw]: either way the mask key carries
+    // W's shape.
+    if (layers_[slot]->parameters().empty()) {
       continue;
     }
     const mpc::PartyShare& weights = layers_[slot]->parameters()[0]->value;

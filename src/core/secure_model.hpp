@@ -30,9 +30,9 @@ namespace trustddl::core {
 /// How fixed-point products are rescaled (see mpc::TruncationMode).
 using mpc::TruncationMode;
 
-/// Serving's fixed weight operands (DESIGN.md §9): each dense layer's
-/// mask shares and opened F = W − B, by layer slot (its index in the
-/// ModelSpec), for one model version.
+/// Serving's fixed weight operands (DESIGN.md §9): each dense and conv
+/// layer's mask shares and opened F = W − B, by layer slot (its index
+/// in the ModelSpec), for one model version.
 struct FixedOperands {
   std::uint64_t version = 0;
   std::map<std::size_t, mpc::FixedOperand> layers;
@@ -50,9 +50,9 @@ struct SecureExecContext {
   /// immediately) — reconstructed values are identical either way; only
   /// the number of round trips changes.
   bool batch_openings = true;
-  /// Serving only: when set, dense forwards multiply by the fixed
-  /// operands (one-sided SecMatMul-BT) instead of per-batch matmul
-  /// triples.  Training and one-shot inference leave it null.
+  /// Serving only: when set, dense and conv forwards multiply by the
+  /// fixed operands (one-sided SecMatMul-BT) instead of per-batch
+  /// matmul triples.  Training and one-shot inference leave it null.
   const FixedOperands* fixed = nullptr;
 
   /// Rescale a double-precision product share back to f fractional
@@ -117,12 +117,18 @@ class SecureDense final : public SecureLayer {
   mpc::PartyShare cached_input_;
 };
 
-/// Convolution on shares via share-local im2col + SecMatMul-BT.
+/// Convolution on shares via share-local im2col + SecMatMul-BT; over
+/// fixed weights (serving) the input is masked in image shape and
+/// im2col'd after opening.  `slot` keys the fixed operand, as for
+/// SecureDense.
 class SecureConv final : public SecureLayer {
  public:
   SecureConv(const ConvSpec& spec, mpc::PartyShare weights,
-             mpc::PartyShare bias)
-      : spec_(spec), weights_(std::move(weights)), bias_(std::move(bias)) {}
+             mpc::PartyShare bias, std::size_t slot = 0)
+      : spec_(spec),
+        weights_(std::move(weights)),
+        bias_(std::move(bias)),
+        slot_(slot) {}
 
   mpc::PartyShare forward(SecureExecContext& ctx,
                           const mpc::PartyShare& input) override;
@@ -136,7 +142,10 @@ class SecureConv final : public SecureLayer {
   ConvSpec spec_;
   SecureParameter weights_;  ///< [out_channels, in_channels*kh*kw]
   SecureParameter bias_;     ///< [out_channels]
-  mpc::PartyShare cached_columns_;  ///< [k, batch*outPixels]
+  std::size_t slot_;
+  /// [k, batch*outPixels]; empty after a fixed-operand forward, which
+  /// never im2cols the input shares.
+  mpc::PartyShare cached_columns_;
   std::size_t cached_batch_ = 0;
 };
 
@@ -210,9 +219,10 @@ class SecureModel {
   void backward_from_logit_grad(SecureExecContext& ctx,
                                 const mpc::PartyShare& grad_logits);
 
-  /// Serving start-up: fetch each dense layer's mask B (keyed by slot
-  /// and `version`) and open every F = W − B in ONE batched robust
-  /// opening.  Point SecureExecContext::fixed at the result.
+  /// Serving start-up: fetch each dense and conv layer's weight mask B
+  /// (keyed by slot and `version`) and open every F = W − B in ONE
+  /// batched robust opening.  Point SecureExecContext::fixed at the
+  /// result.
   FixedOperands open_fixed_operands(SecureExecContext& ctx,
                                     std::uint64_t version);
 

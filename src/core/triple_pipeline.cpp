@@ -94,9 +94,12 @@ DemandPlan profile_step_demand(const nn::ModelSpec& spec,
         const ConvSpec& conv = layer.conv;
         const std::size_t pixels = conv.col_cols();
         const std::size_t cols = batch_rows * pixels;
-        plan.add(
-            mpc::TripleKey::matmul(conv.out_channels, conv.col_rows(), cols),
-            1);
+        plan.add(fixed_version
+                     ? mpc::TripleKey::fixed_conv_triple(slot, *fixed_version,
+                                                         batch_rows, conv)
+                     : mpc::TripleKey::matmul(conv.out_channels,
+                                              conv.col_rows(), cols),
+                 1);
         if (masked) {
           plan.add(
               mpc::TripleKey::trunc_pair(Shape{conv.out_channels, cols}), 1);

@@ -51,7 +51,8 @@ struct DemandPlan {
 /// when `training`.  Truncation pairs appear only in kMaskedOpen mode
 /// (local truncation consumes no material).  With `fixed_version`
 /// (serving over fixed operands opened under that model version) dense
-/// forwards take kFixedTriple entries instead of matmul triples.
+/// and conv forwards take kFixedTriple / kFixedConvTriple entries
+/// instead of matmul triples.
 /// Mirrors the consumption sites in secure_model.cpp layer by layer.
 DemandPlan profile_step_demand(
     const nn::ModelSpec& spec, std::size_t batch_rows,

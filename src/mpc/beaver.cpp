@@ -1,9 +1,11 @@
 #include "mpc/beaver.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
+#include "numeric/conv.hpp"
 #include "numeric/fixed_point.hpp"
 
 namespace trustddl::mpc {
@@ -44,6 +46,20 @@ void require_rank(const TripleKey& key, std::size_t rank) {
     throw InvalidArgument(std::string(triple_kind_name(key.kind)) +
                           " key needs " + std::to_string(rank) + " dims");
   }
+}
+
+std::size_t checked_mul(std::size_t a, std::size_t b) {
+  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
+    throw InvalidArgument("material key dims overflow");
+  }
+  return a * b;
+}
+
+std::size_t checked_add(std::size_t a, std::size_t b) {
+  if (a > std::numeric_limits<std::size_t>::max() - b) {
+    throw InvalidArgument("material key dims overflow");
+  }
+  return a + b;
 }
 
 /// splitmix64 finalizer: the standard 64-bit avalanche mix.
@@ -119,15 +135,66 @@ const char* triple_kind_name(TripleKind kind) {
       return "fixed_mask";
     case TripleKind::kFixedTriple:
       return "fixed_triple";
+    case TripleKind::kFixedConvTriple:
+      return "fixed_conv_triple";
   }
   return "unknown";
 }
 
+ConvSpec fixed_conv_spec(const TripleKey& key) {
+  require_rank(key, kMaxTripleKeyDims);
+  const Shape& dims = key.dims;
+  // dims[2..8]: rows, channels, image, output channels and kernel.
+  for (std::size_t i = 2; i <= 8; ++i) {
+    if (dims[i] == 0) {
+      throw InvalidArgument("fixed_conv_triple key has a zero size");
+    }
+  }
+  ConvSpec conv;
+  conv.in_channels = dims[3];
+  conv.in_height = dims[4];
+  conv.in_width = dims[5];
+  conv.out_channels = dims[6];
+  conv.kernel_h = dims[7];
+  conv.kernel_w = dims[8];
+  conv.pad = dims[9];
+  conv.stride = dims[10];
+  if (conv.stride == 0) {
+    throw InvalidArgument("fixed_conv_triple key has stride 0");
+  }
+  const std::size_t padding = checked_mul(conv.pad, 2);
+  if (conv.kernel_h > checked_add(conv.in_height, padding) ||
+      conv.kernel_w > checked_add(conv.in_width, padding)) {
+    throw InvalidArgument(
+        "fixed_conv_triple kernel is larger than the padded input");
+  }
+  // Every tensor the dealer sizes from the key must fit in size_t: the
+  // mask B [out, C·kh·kw], M [rows, C·H·W] and C [out, rows·P].
+  const std::size_t rows = dims[2];
+  (void)checked_mul(conv.out_channels,
+                    checked_mul(conv.in_channels,
+                                checked_mul(conv.kernel_h, conv.kernel_w)));
+  (void)checked_add(
+      checked_mul(rows, checked_mul(conv.in_channels,
+                                    checked_mul(conv.in_height,
+                                                conv.in_width))),
+      checked_mul(conv.out_channels,
+                  checked_mul(rows, checked_mul(conv.out_height(),
+                                                conv.out_width()))));
+  return conv;
+}
+
 std::size_t material_entry_values(const TripleKey& key) {
+  if (key.kind == TripleKind::kFixedConvTriple) {
+    const ConvSpec conv = fixed_conv_spec(key);
+    const std::size_t rows = key.dims[2];
+    return rows * conv.in_channels * conv.in_height * conv.in_width +
+           conv.out_channels * rows * conv.col_cols();
+  }
   const std::size_t skip = is_fixed_operand_kind(key.kind) ? 2 : 0;
   std::size_t values = 1;
   for (std::size_t i = skip; i < key.dims.size(); ++i) {
-    values *= std::max<std::size_t>(key.dims[i], 1);
+    values = checked_mul(values, std::max<std::size_t>(key.dims[i], 1));
   }
   return values;
 }
@@ -157,12 +224,21 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
                                                      std::uint64_t master_seed,
                                                      int frac_bits) {
   std::array<MaterialBatch, kNumParties> out;
-  // One B serves the whole range of a kFixedTriple request.
+  // One B serves the whole range of a fixed-triple request.
   RingTensor fixed_b;
-  if (key.kind == TripleKind::kFixedTriple) {
-    require_rank(key, 5);
-    const TripleKey mask_key = TripleKey::fixed_mask(
-        key.dims[0], key.dims[1], key.dims[3], key.dims[4]);
+  ConvSpec conv;
+  if (key.kind == TripleKind::kFixedTriple ||
+      key.kind == TripleKind::kFixedConvTriple) {
+    TripleKey mask_key;
+    if (key.kind == TripleKind::kFixedTriple) {
+      require_rank(key, 5);
+      mask_key = TripleKey::fixed_mask(key.dims[0], key.dims[1], key.dims[3],
+                                       key.dims[4]);
+    } else {
+      conv = fixed_conv_spec(key);
+      mask_key = TripleKey::fixed_mask(key.dims[0], key.dims[1],
+                                       conv.out_channels, conv.col_rows());
+    }
     Rng mask_rng(derive_material_seed(master_seed, mask_key, 0));
     fixed_b = fixed_mask_value(mask_key, mask_rng);
   }
@@ -218,11 +294,21 @@ std::array<MaterialBatch, kNumParties> deal_material(const TripleKey& key,
         }
         break;
       }
-      case TripleKind::kFixedTriple: {
-        const RingTensor a =
-            random_ring_tensor(Shape{key.dims[2], key.dims[3]}, rng);
+      case TripleKind::kFixedTriple:
+      case TripleKind::kFixedConvTriple: {
+        // The input-side mask: a [m,k] with c = a×B, or for a conv M in
+        // image shape with C = B·im2col(M) (weights on the left).
+        const bool is_conv = key.kind == TripleKind::kFixedConvTriple;
+        const RingTensor a = random_ring_tensor(
+            is_conv ? Shape{key.dims[2], conv.in_channels * conv.in_height *
+                                             conv.in_width}
+                    : Shape{key.dims[2], key.dims[3]},
+            rng);
         const auto a_views = share_secret(a, rng);
-        const auto c_views = share_secret(matmul(a, fixed_b), rng);
+        const auto c_views = share_secret(
+            is_conv ? matmul(fixed_b, batch_im2col(a, conv))
+                    : matmul(a, fixed_b),
+            rng);
         for (int p = 0; p < kNumParties; ++p) {
           const auto index = static_cast<std::size_t>(p);
           out[index].triples.push_back(

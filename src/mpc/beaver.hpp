@@ -12,8 +12,10 @@
 //    fixed-point rescale (see protocols_bt.hpp for the two truncation
 //    strategies)
 // plus, for serving only, fixed-operand material: one mask B per
-// (dense layer, model version) whose F = W − B is opened once, and
-// per-batch (a, c = a×B) entries against it (DESIGN.md §10).
+// (dense or conv layer, model version) whose F = W − B is opened once,
+// and per-batch entries against it — (a, c = a×B) for a dense layer,
+// (M, C = B·im2col(M)) with M in image shape for a conv layer
+// (DESIGN.md §10).
 //
 // Material is organized into *streams*: one FIFO sequence per
 // (kind, dims) shape class, addressed by a `TripleKey` and an entry
@@ -33,6 +35,7 @@
 
 #include "common/rng.hpp"
 #include "mpc/sharing.hpp"
+#include "numeric/conv.hpp"
 
 namespace trustddl::mpc {
 
@@ -81,23 +84,35 @@ enum class TripleKind : std::uint8_t {
   /// Serving only: (a [m,k], c = a×B) against the kFixedMask of the
   /// same layer slot and model version; the entry's `b` stays empty.
   kFixedTriple = 5,
+  /// Serving only, conv layers: (M [rows, C·H·W] in image shape,
+  /// C = B·batch_im2col(M)) against the kFixedMask [out, C·kh·kw] of
+  /// the same slot and version; `b` stays empty.
+  kFixedConvTriple = 6,
 };
-constexpr TripleKind kLastTripleKind = TripleKind::kFixedTriple;
+constexpr TripleKind kLastTripleKind = TripleKind::kFixedConvTriple;
 
-/// True for the two fixed-operand kinds, which a training dealer must
+/// Most dims any key carries (kFixedConvTriple's eleven): the bound a
+/// decoder applies to a key's rank before reading it.
+constexpr std::size_t kMaxTripleKeyDims = 11;
+
+/// True for the fixed-operand kinds, which a training dealer must
 /// refuse (DESIGN.md §9).
 inline bool is_fixed_operand_kind(TripleKind kind) {
-  return kind == TripleKind::kFixedMask || kind == TripleKind::kFixedTriple;
+  return kind == TripleKind::kFixedMask ||
+         kind == TripleKind::kFixedTriple ||
+         kind == TripleKind::kFixedConvTriple;
 }
 
 /// Stable lowercase name for metrics/logs ("mul", "matmul",
-/// "comp_aux", "trunc_pair", "fixed_mask", "fixed_triple").
+/// "comp_aux", "trunc_pair", "fixed_mask", "fixed_triple",
+/// "fixed_conv_triple").
 const char* triple_kind_name(TripleKind kind);
 
 /// Identity of one material shape class.  For kMul / kCompAux /
 /// kTruncPair `dims` is the tensor shape; for kMatMul it is {m, k, n};
 /// the fixed-operand kinds prefix {k, n} / {m, k, n} with the layer
-/// slot and the model version.
+/// slot and the model version, and kFixedConvTriple prefixes {rows}
+/// plus the conv geometry (the dealer has no model spec).
 struct TripleKey {
   TripleKind kind = TripleKind::kMul;
   Shape dims;
@@ -128,10 +143,27 @@ struct TripleKey {
     return TripleKey{TripleKind::kFixedTriple,
                      Shape{slot, version, m, k, n}};
   }
+  static TripleKey fixed_conv_triple(std::size_t slot, std::uint64_t version,
+                                     std::size_t rows, const ConvSpec& conv) {
+    return TripleKey{TripleKind::kFixedConvTriple,
+                     Shape{slot, version, rows, conv.in_channels,
+                           conv.in_height, conv.in_width, conv.out_channels,
+                           conv.kernel_h, conv.kernel_w, conv.pad,
+                           conv.stride}};
+  }
 };
 
+/// The conv geometry a kFixedConvTriple key carries.  Throws
+/// InvalidArgument — before any division or allocation — unless the
+/// key has all eleven dims, no zero size or stride, a kernel that fits
+/// the padded input, and entry sizes that fit in size_t: a party
+/// chooses the key it sends to the owner.
+ConvSpec fixed_conv_spec(const TripleKey& key);
+
 /// Values in one entry of `key`'s stream, by its shape dims (slot and
-/// version excluded): a bound for request validation.
+/// version excluded): a bound for request validation.  Exact for
+/// kFixedConvTriple (rows·C·H·W + out·rows·P); throws InvalidArgument
+/// when the dims are invalid or their product overflows.
 std::size_t material_entry_values(const TripleKey& key);
 
 struct TripleKeyHash {
@@ -147,7 +179,8 @@ std::uint64_t derive_material_seed(std::uint64_t master_seed,
 /// One party's view of a contiguous range of a material stream.
 /// Exactly one vector is populated, selected by the key's kind.
 struct MaterialBatch {
-  std::vector<BeaverTripleShare> triples;  ///< kMul / kMatMul / kFixedTriple
+  /// kMul / kMatMul / kFixedTriple / kFixedConvTriple
+  std::vector<BeaverTripleShare> triples;
   std::vector<PartyShare> aux;             ///< kCompAux / kFixedMask
   std::vector<TruncPairShare> pairs;       ///< kTruncPair
 

@@ -1161,8 +1161,13 @@ void OpenBatch::flush() {
     group_sizes.push_back(entry.count);
   }
   if (obs::metrics_enabled()) {
+    std::size_t elements = 0;
+    for (const PartyShare& value : values) {
+      elements += value.primary.size();
+    }
     obs::count("open.batch.flushes");
     obs::count("open.batch.values", values.size());
+    obs::count("open.batch.elements", elements);
     obs::count("open.batch.groups", group_sizes.size());
   }
   obs::trace_instant("open.flush", ctx_.party, ctx_.step,

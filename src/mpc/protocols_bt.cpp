@@ -1,5 +1,6 @@
 #include "mpc/protocols_bt.hpp"
 
+#include "numeric/conv.hpp"
 #include "numeric/fixed_point.hpp"
 #include "numeric/kernels.hpp"
 #include "obs/trace.hpp"
@@ -62,6 +63,20 @@ DeferredShare masked_multiply_prepare(OpenBatch& batch, const PartyShare& x,
         out.set(combine_with_triple(opened[0], opened[1], triple, product));
       });
   return out;
+}
+
+/// Opens E = x − a, the only per-batch opening of the one-sided
+/// products over a fixed operand.
+RingTensor open_input_mask(PartyContext& ctx, const PartyShare& x,
+                           const PartyShare& a) {
+  OpenBatch batch(ctx);
+  DeferredTensor e;
+  {
+    obs::ScopedSpan mask_span("proto.mask", ctx.party, ctx.step);
+    e = batch.enqueue_value(x - a);
+  }
+  batch.flush_all();
+  return e.take();
 }
 
 RingTensor signs_from_beta(const RingTensor& beta) {
@@ -252,15 +267,31 @@ PartyShare sec_matmul_bt_fixed(PartyContext& ctx, const PartyShare& x,
                        triple.a.shape() == x.shape(),
                    "sec_matmul_bt_fixed: incompatible operand shapes");
   obs::ScopedSpan span("proto.sec_matmul_bt", ctx.party, ctx.step);
-  OpenBatch batch(ctx);
-  DeferredTensor e;
-  {
-    obs::ScopedSpan mask_span("proto.mask", ctx.party, ctx.step);
-    e = batch.enqueue_value(x - triple.a);
-  }
-  batch.flush_all();
+  const RingTensor e = open_input_mask(ctx, x, triple.a);
   obs::ScopedSpan combine_span("proto.combine", ctx.party);
-  return combine_masked(e.get(), w.f, triple.a, w.b, triple.c,
+  return combine_masked(e, w.f, triple.a, w.b, triple.c, matmul_product);
+}
+
+PartyShare sec_conv_bt_fixed(PartyContext& ctx, const PartyShare& x,
+                             const FixedOperand& w,
+                             const BeaverTripleShare& triple,
+                             const ConvSpec& conv) {
+  TRUSTDDL_REQUIRE(
+      x.shape().size() == 2 &&
+          x.shape()[1] ==
+              conv.in_channels * conv.in_height * conv.in_width &&
+          triple.a.shape() == x.shape() &&
+          w.f.shape() == Shape({conv.out_channels, conv.col_rows()}),
+      "sec_conv_bt_fixed: incompatible operand shapes");
+  obs::ScopedSpan span("proto.sec_matmul_bt", ctx.party, ctx.step);
+  const RingTensor e = open_input_mask(ctx, x, triple.a);
+  obs::ScopedSpan combine_span("proto.combine", ctx.party);
+  const RingTensor e_columns = batch_im2col(e, conv);
+  const PartyShare m_columns =
+      transform_share(triple.a, [&](const RingTensor& m) {
+        return batch_im2col(m, conv);
+      });
+  return combine_masked(w.f, e_columns, w.b, m_columns, triple.c,
                         matmul_product);
 }
 

@@ -43,6 +43,17 @@ PartyShare sec_matmul_bt_fixed(PartyContext& ctx, const PartyShare& x,
                                const FixedOperand& w,
                                const BeaverTripleShare& triple);
 
+/// One-sided conv product z = W · batch_im2col(x) [out, rows·P] for
+/// fixed conv weights W [out, C·kh·kw] and x [rows, C·H·W].  `triple`
+/// holds (M in x's image shape, C = B·batch_im2col(M)), so only
+/// E = x − M is opened — image-sized, not im2col-sized.  im2col is
+/// linear, so the combine is C + B·im2col(E) + F·im2col(M) +
+/// F·im2col(E), with the weights on the left.
+PartyShare sec_conv_bt_fixed(PartyContext& ctx, const PartyShare& x,
+                             const FixedOperand& w,
+                             const BeaverTripleShare& triple,
+                             const ConvSpec& conv);
+
 /// Elementwise comparison (Algorithm 5): returns sign(x - y) publicly
 /// as a tensor with elements 1, 0 or 2^64-1 (i.e. -1 in the ring).
 /// `t_aux` are shares of the dealer's positive masking values.

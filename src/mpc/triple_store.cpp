@@ -41,6 +41,20 @@ void count_kind(const char* stem, TripleKind kind, std::uint64_t delta) {
   }
 }
 
+/// Counts one popped entry: per kind, and by its share elements (one
+/// per value of every tensor the dealer sent).
+template <typename Slot>
+void count_consumed(TripleKind kind, const Slot& slot) {
+  count_kind("triple.consumed.", kind, 1);
+  if (obs::metrics_enabled()) {
+    obs::count("triple.elements.consumed",
+               slot.triple.a.primary.size() + slot.triple.b.primary.size() +
+                   slot.triple.c.primary.size() + slot.aux.primary.size() +
+                   slot.pair.r.primary.size() +
+                   slot.pair.r_shifted.primary.size());
+  }
+}
+
 void gauge_kind(TripleKind kind, std::int64_t delta) {
   if (obs::metrics_enabled()) {
     obs::gauge_add(std::string("triple.store.depth.") +
@@ -79,7 +93,7 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
     // Hot path: prefetched entry, no lock, no wait.
     Slot slot = std::move(queue.ring[head & (queue.capacity() - 1)]);
     queue.head.store(head + 1, std::memory_order_release);
-    count_kind("triple.consumed.", key.kind, 1);
+    count_consumed(key.kind, slot);
     gauge_kind(key.kind, -1);
     if (obs::metrics_enabled()) {
       obs::observe("triple.online_wait.us", 0);
@@ -98,19 +112,19 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
     // The producer filled while we were acquiring the lock.
     slot = std::move(queue.ring[head2 & (queue.capacity() - 1)]);
     queue.head.store(head2 + 1, std::memory_order_release);
-    count_kind("triple.consumed.", key.kind, 1);
+    count_consumed(key.kind, slot);
     gauge_kind(key.kind, -1);
   } else {
     MaterialBatch batch = backend_.fill(key, queue.next_fill, 1);
     queue.next_fill += 1;
     misses_.fetch_add(1, std::memory_order_relaxed);
     count_kind("triple.produced.", key.kind, 1);
-    count_kind("triple.consumed.", key.kind, 1);
     obs::count("triple.store.miss");
     switch (key.kind) {
       case TripleKind::kMul:
       case TripleKind::kMatMul:
       case TripleKind::kFixedTriple:
+      case TripleKind::kFixedConvTriple:
         slot.triple = std::move(batch.triples.at(0));
         break;
       case TripleKind::kCompAux:
@@ -121,6 +135,7 @@ TripleStore::Slot TripleStore::pop(const TripleKey& key) {
         slot.pair = std::move(batch.pairs.at(0));
         break;
     }
+    count_consumed(key.kind, slot);
   }
   if (obs::metrics_enabled()) {
     const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -209,6 +224,7 @@ std::size_t TripleStore::fill_locked(const TripleKey& key, KeyQueue& queue,
       case TripleKind::kMul:
       case TripleKind::kMatMul:
       case TripleKind::kFixedTriple:
+      case TripleKind::kFixedConvTriple:
         slot.triple = std::move(batch.triples[i]);
         break;
       case TripleKind::kCompAux:
@@ -321,6 +337,7 @@ void TripleStore::save(const std::string& path,
           write_beaver_share(writer, slot.triple);
           break;
         case TripleKind::kFixedTriple:
+        case TripleKind::kFixedConvTriple:
           write_fixed_triple(writer, slot.triple);
           break;
         case TripleKind::kCompAux:
@@ -382,7 +399,7 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
       throw SerializationError("triple store: unknown material kind");
     }
     const std::uint64_t rank = reader.read_u64();
-    if (rank > 8) {
+    if (rank > kMaxTripleKeyDims) {
       throw SerializationError("triple store: shape rank too large");
     }
     key.dims.resize(rank);
@@ -419,6 +436,7 @@ bool TripleStore::load(const std::string& path, std::uint64_t provenance) {
           slot.triple = read_beaver_share(reader);
           break;
         case TripleKind::kFixedTriple:
+        case TripleKind::kFixedConvTriple:
           slot.triple = read_fixed_triple(reader);
           break;
         case TripleKind::kCompAux:

@@ -78,6 +78,13 @@ class TripleStore {
     return std::move(
         pop(TripleKey::fixed_triple(slot, version, m, k, n)).triple);
   }
+  /// Serving only: (M [rows, C·H·W], C = B·batch_im2col(M)) for the
+  /// fixed conv weights in layer `slot`; `b` is empty.
+  BeaverTripleShare fixed_conv_triple(std::size_t slot, std::uint64_t version,
+                                      std::size_t rows, const ConvSpec& conv) {
+    return std::move(
+        pop(TripleKey::fixed_conv_triple(slot, version, rows, conv)).triple);
+  }
 
   /// Raise the refill target for `key` to at least `count` entries and
   /// reserve ring capacity.  NOT safe concurrently with pops of the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
@@ -624,104 +623,11 @@ std::size_t default_cutoff_bytes() {
   return l2 > 0 ? l2 : (1u << 21);
 }
 
-/// One-shot startup calibration of the naive/blocked crossover.
-/// Times both kernels serially (SIMD active, threads = 1 so the probe
-/// measures per-core kernel quality, which is what the shape-only
-/// dispatch rule has to rank) on square-RHS probes straddling L2 and
-/// places the cutoff at the geometric mean of the last naive-win and
-/// first blocked-win RHS footprints.  Budget-capped: under sanitizers
-/// or heavy load the probes are abandoned and the L2 default rules.
-std::size_t calibrate_cutoff_bytes() {
-  using clock = std::chrono::steady_clock;
-  constexpr double kBudgetSeconds = 0.20;
-  constexpr std::size_t kProbeRows = 32;
-  constexpr std::size_t kProbeDims[] = {192, 384, 768, 1280};
-
-  KernelConfig probe_config;  // compiled block fallbacks, serial
-  probe_config.threads = 1;
-
-  const auto seconds_since = [](clock::time_point start) {
-    return std::chrono::duration<double>(clock::now() - start).count();
-  };
-  const auto fill = [](Tensor<std::uint64_t>& tensor) {
-    std::uint64_t value = 0x9E3779B97F4A7C15ull;
-    for (auto& element : tensor.values()) {
-      element = value;
-      value = value * 6364136223846793005ull + 1442695040888963407ull;
-    }
-  };
-
-  const auto start = clock::now();
-  std::size_t last_naive_win = 0;
-  for (std::size_t dim : kProbeDims) {
-    Tensor<std::uint64_t> a(Shape{kProbeRows, dim});
-    Tensor<std::uint64_t> b(Shape{dim, dim});
-    fill(a);
-    fill(b);
-    double naive_s = 1e30;
-    double blocked_s = 1e30;
-    for (int rep = 0; rep < 2; ++rep) {
-      auto t0 = clock::now();
-      const auto naive = matmul_naive_parallel(probe_config, a, b);
-      naive_s = std::min(naive_s, seconds_since(t0));
-      t0 = clock::now();
-      const auto blocked = matmul_blocked(probe_config, a, b);
-      blocked_s = std::min(blocked_s, seconds_since(t0));
-      // Keep the results alive past the timers.
-      if (naive.data()[0] + blocked.data()[0] == 0x5a5a5a5a5a5a5a5aull) {
-        std::abort();
-      }
-    }
-    const std::size_t rhs_bytes = dim * dim * sizeof(std::uint64_t);
-    if (blocked_s < naive_s * 0.95) {
-      // First shape where blocking clearly wins: put the crossover
-      // between it and the last naive win (or L2/2 when blocking wins
-      // from the first probe).
-      const double lo = static_cast<double>(
-          last_naive_win > 0 ? last_naive_win : default_cutoff_bytes() / 2);
-      return std::clamp(static_cast<std::size_t>(std::sqrt(
-                            lo * static_cast<double>(rhs_bytes))),
-                        default_cutoff_bytes() / 2,
-                        default_cutoff_bytes() * 2);
-    }
-    last_naive_win = rhs_bytes;
-    if (seconds_since(start) > kBudgetSeconds) {
-      // Out of budget (sanitizer build or loaded machine): trust what
-      // we saw so far — naive won everywhere probed, so the crossover
-      // is at least the largest probed footprint (or the L2 default
-      // if that is bigger).
-      break;
-    }
-  }
-  // The short-row probes can overstate naive (a 32-row output never
-  // amortizes panel packing the way a square product does), so the
-  // calibrated crossover may move the L2 default by at most one
-  // octave either way; far-from-L2 verdicts are probe artifacts, not
-  // machine properties.  TRUSTDDL_MATMUL_CUTOFF pins past this clamp.
-  const std::size_t floor_bytes = default_cutoff_bytes() / 2;
-  const std::size_t ceil_bytes = default_cutoff_bytes() * 2;
-  return std::clamp(std::max(last_naive_win, default_cutoff_bytes()),
-                    floor_bytes, ceil_bytes);
-}
-
-std::size_t auto_cutoff_bytes() {
-  static const std::size_t cached = [] {
-    const char* raw = std::getenv("TRUSTDDL_CALIBRATE");
-    if (raw != nullptr && std::strcmp(raw, "0") == 0) {
-      return default_cutoff_bytes();
-    }
-    return calibrate_cutoff_bytes();
-  }();
-  return cached;
-}
-
 }  // namespace
 
 std::size_t effective_matmul_cutoff_bytes(const KernelConfig& config) {
-  if (config.matmul_cutoff_bytes > 0) {
-    return config.matmul_cutoff_bytes;
-  }
-  return auto_cutoff_bytes();
+  return config.matmul_cutoff_bytes > 0 ? config.matmul_cutoff_bytes
+                                        : default_cutoff_bytes();
 }
 
 template <typename T>
@@ -729,9 +635,9 @@ Tensor<T> matmul(const KernelConfig& config, const Tensor<T>& lhs,
                  const Tensor<T>& rhs) {
   // Shape-only dispatch (identical at every thread count): the
   // row-parallel naive loop until the RHS footprint outgrows the
-  // auto-tuned crossover, the packed blocked kernel beyond it.  PR 3's
-  // flop-count cutoff sent every skinny Table I product (n = 10) to
-  // the blocked path, which loses 1.4-2.3x there because panel
+  // L2-sized crossover, the packed blocked kernel beyond it.  A
+  // flop-count cutoff would send every skinny Table I product (n = 10)
+  // to the blocked path, which loses 1.4-2.3x there because panel
   // packing pads 10 real columns to a full uniform-stride panel.
   if (lhs.rank() == 2 && rhs.rank() == 2) {
     const std::size_t rhs_bytes = rhs.rows() * rhs.cols() * sizeof(T);

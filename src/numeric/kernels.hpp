@@ -27,7 +27,7 @@
 //
 // Configuration: a process-global KernelConfig (env-overridable via
 // TRUSTDDL_THREADS / TRUSTDDL_BLOCK_{M,K,N} / TRUSTDDL_GRAIN /
-// TRUSTDDL_MATMUL_CUTOFF / TRUSTDDL_CALIBRATE) feeds the free tensor
+// TRUSTDDL_MATMUL_CUTOFF) feeds the free tensor
 // functions; mpc::PartyContext and core::EngineConfig carry a copy so
 // protocol code and the engine can pin an explicit setting.
 // `threads = 1` reproduces the pre-kernel serial behaviour exactly.
@@ -67,8 +67,8 @@ struct KernelConfig {
   /// Naive/blocked matmul crossover, expressed as RHS footprint
   /// (k * n * sizeof(T) bytes): blocking pays only once the RHS
   /// outgrows L2 and panel packing starts earning its cost.  0 = use
-  /// the per-process auto-tuned value (one-shot startup calibration,
-  /// see DESIGN.md §4); >0 pins the crossover explicitly.
+  /// the detected L2 size (see DESIGN.md §4); >0 pins the crossover
+  /// explicitly.
   std::size_t matmul_cutoff_bytes = 0;
 
   /// Defaults overridden by TRUSTDDL_THREADS, TRUSTDDL_BLOCK_M,
@@ -90,9 +90,8 @@ KernelConfig global_config();
 void set_global_config(const KernelConfig& config);
 
 /// The matmul crossover the dispatcher will use for `config`:
-/// config.matmul_cutoff_bytes when pinned, otherwise the per-process
-/// calibrated value (computed once, on first use; TRUSTDDL_CALIBRATE=0
-/// skips the timing probes and uses an L2-derived default).
+/// config.matmul_cutoff_bytes when pinned, otherwise the detected L2
+/// size (2 MiB when the OS does not report it).
 std::size_t effective_matmul_cutoff_bytes(const KernelConfig& config);
 
 /// Deterministic chunk count `parallel_for`/`parallel_chunks` will use
@@ -155,7 +154,7 @@ Tensor<T> matmul_blocked(const KernelConfig& config, const Tensor<T>& lhs,
 
 /// Dispatching matmul: row-parallel naive loop while the RHS fits in
 /// cache (where panel packing costs more than it saves — every
-/// Table I shape lands here), blocked kernel above the auto-tuned
+/// Table I shape lands here), blocked kernel above the L2-sized
 /// crossover (see effective_matmul_cutoff_bytes).  The cutoff depends
 /// only on the shape, never the thread count.
 template <typename T>

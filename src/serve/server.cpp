@@ -53,9 +53,9 @@ InferenceServer::InferenceServer(int party, net::Endpoint endpoint,
 
 bool InferenceServer::run(core::SecureModel& model,
                           core::SecureExecContext& ctx) {
-  // The weights never change while serving, so every dense layer's
-  // F = W − B is opened once, here, and each batch then opens only its
-  // input's mask (DESIGN.md §9).
+  // The weights never change while serving, so every dense and conv
+  // layer's F = W − B is opened once, here, and each batch then opens
+  // only its input's mask (DESIGN.md §9).
   fixed_ = model.open_fixed_operands(ctx, model_version_);
   ctx.fixed = &fixed_;
   for (std::uint64_t index = 0;; ++index) {

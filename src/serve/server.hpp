@@ -55,10 +55,10 @@ class InferenceServer {
                   core::TriplePipeline& pipeline, const nn::ModelSpec& spec,
                   std::uint64_t model_version);
 
-  /// Open every dense layer's fixed operand (one batched opening), then
-  /// serve manifests until the owner's shutdown manifest (returns true)
-  /// or the max_batches crash point (returns false).  Leaves
-  /// ctx.fixed pointing into this server.
+  /// Open every dense and conv layer's fixed operand (one batched
+  /// opening), then serve manifests until the owner's shutdown manifest
+  /// (returns true) or the max_batches crash point (returns false).
+  /// Leaves ctx.fixed pointing into this server.
   bool run(core::SecureModel& model, core::SecureExecContext& ctx);
 
   std::size_t batches_executed() const { return batches_; }

@@ -91,11 +91,62 @@ TEST(OwnerServiceTest, TrainingOwnerRefusesFixedOperandMaterial) {
     mpc::TripleStore store(link, party);
     EXPECT_THROW((void)store.fixed_mask(1, 7, 4, 2), MaterialRefused);
     EXPECT_THROW((void)store.fixed_triple(1, 7, 2, 4, 2), MaterialRefused);
+    ConvSpec conv;
+    conv.in_height = 4;
+    conv.in_width = 4;
+    conv.kernel_h = 3;
+    conv.kernel_w = 3;
+    EXPECT_THROW((void)store.fixed_conv_triple(0, 7, 2, conv),
+                 MaterialRefused);
     // Per-multiplication triples still flow.
     EXPECT_EQ(store.matmul_triple(2, 3, 2).a.shape(), (Shape{2, 3}));
     link.stop();
   });
   thread.join();
+}
+
+TEST(OwnerServiceTest, RejectsCraftedConvKeysAndKeepsServing) {
+  // A party controls the key it sends.  Each crafted conv key below is
+  // rejected before anything is sized from it (no response, so the
+  // link times out), and the owner keeps dealing valid material.
+  ConvSpec conv;
+  conv.in_height = 8;
+  conv.in_width = 8;
+  conv.kernel_h = 3;
+  conv.kernel_w = 3;
+  std::vector<mpc::TripleKey> crafted;
+  for (const auto& [dim, value] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {10, 0},                       // stride 0
+           {7, 11},                       // kernel over the padded input
+           {3, 0},                        // zero channels
+           {2, std::size_t{1} << 62}}) {  // rows·C·H·W overflows
+    mpc::TripleKey key = mpc::TripleKey::fixed_conv_triple(0, 7, 2, conv);
+    key.dims[dim] = value;
+    crafted.push_back(key);
+  }
+
+  ServiceHarness harness;
+  std::atomic<bool> done{false};
+  net::run_parties(3, [&](net::PartyId party) {
+    OwnerLink link(harness.network.endpoint(party), party,
+                   std::chrono::milliseconds(200));
+    if (party == 0) {
+      for (const mpc::TripleKey& key : crafted) {
+        EXPECT_THROW((void)link.fill(key, 0, 1), TimeoutError);
+      }
+      EXPECT_EQ(link.fill(mpc::TripleKey::matmul(2, 3, 2), 0, 1).count(),
+                1u);
+      done.store(true);
+    }
+    // Two stops would start the owner's shutdown grace window early.
+    while (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    link.stop();
+  });
+  harness.join();
+  EXPECT_EQ(harness.service.fills_served(), 1u);
 }
 
 TEST(OwnerServiceTest, SoftmaxCollectiveMatchesPlaintext) {

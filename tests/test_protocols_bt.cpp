@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "mpc/adversary.hpp"
+#include "numeric/conv.hpp"
 #include "numeric/fixed_point.hpp"
 #include "test_util.hpp"
 
@@ -209,17 +210,19 @@ INSTANTIATE_TEST_SUITE_P(
 constexpr std::size_t kFixedSlot = 1;
 constexpr std::uint64_t kFixedVersion = 0x5e12e;
 
-/// Corrupts this party's shares in its first opening only — the
-/// F = W − B opening of a fixed operand — consistently across the
-/// commitment and the exchange (Case 3).
-class CorruptFirstOpening final : public AdversaryHooks {
+/// Corrupts this party's shares in its `target`-th opening only
+/// (0: the F = W − B opening of a fixed operand, 1: the first batch's
+/// E = x − a), consistently across the commitment and the exchange
+/// (Case 3).
+class CorruptOneOpening final : public AdversaryHooks {
  public:
+  explicit CorruptOneOpening(int target = 0) : target_(target) {}
+
   void before_commit(std::uint64_t /*step*/,
                      std::vector<PartyShare>& triples) override {
-    if (attacked_) {
+    if (openings_++ != target_) {
       return;
     }
-    attacked_ = true;
     for (auto& share : triples) {
       for (auto& value : share.primary.values()) value += 0x1234567;
       for (auto& value : share.duplicate.values()) value += 0x7654321;
@@ -228,7 +231,8 @@ class CorruptFirstOpening final : public AdversaryHooks {
   }
 
  private:
-  bool attacked_ = false;
+  int target_;
+  int openings_ = 0;
 };
 
 /// Runs the serving pattern at every party: open F = W − B once, then
@@ -309,7 +313,7 @@ class SecMatMulFixedByzantineTest : public ::testing::TestWithParam<int> {};
 TEST_P(SecMatMulFixedByzantineTest, CorruptedShareOfFIsOutvoted) {
   const int byzantine = GetParam();
   ThreePartyHarness harness;
-  CorruptFirstOpening adversary;
+  CorruptOneOpening adversary;
   harness.contexts[static_cast<std::size_t>(byzantine)].adversary = &adversary;
   FixedOperandFixture fixture(30, 889);
   testing::PartyTriples dealer(889, kF);
@@ -350,6 +354,156 @@ TEST_P(SecMatMulFixedByzantineTest, CorruptedShareOfFIsOutvoted) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Parties, SecMatMulFixedByzantineTest,
+                         ::testing::Values(0, 1, 2));
+
+// --- One-sided conv product over fixed weights --------------------------
+
+constexpr std::size_t kConvRows = 2;
+
+/// Two channels, a 3x2 kernel, padding and stride: every im2col edge
+/// case in a small product (W [3, 12], P = 3x3 output pixels).
+ConvSpec fixed_conv() {
+  ConvSpec conv;
+  conv.in_channels = 2;
+  conv.in_height = 5;
+  conv.in_width = 4;
+  conv.out_channels = 3;
+  conv.kernel_h = 3;
+  conv.kernel_w = 2;
+  conv.pad = 1;
+  conv.stride = 2;
+  return conv;
+}
+
+struct FixedConvFixture {
+  ConvSpec conv = fixed_conv();
+  RingTensor w;
+  std::array<RingTensor, 2> x;
+  std::array<PartyShare, 3> w_views;
+  std::array<std::array<PartyShare, 3>, 2> x_views;
+  RingTensor mask;  // the dealer's plaintext B
+
+  FixedConvFixture(std::uint64_t seed, std::uint64_t dealer_seed) {
+    Rng rng(seed);
+    w = to_ring(random_real(Shape{conv.out_channels, conv.col_rows()}, rng,
+                            2.0),
+                kF);
+    w_views = share_secret(w, rng);
+    for (std::size_t b = 0; b < 2; ++b) {
+      x[b] = to_ring(random_real(Shape{kConvRows, conv.in_channels *
+                                                      conv.in_height *
+                                                      conv.in_width},
+                                 rng, 2.0),
+                     kF);
+      x_views[b] = share_secret(x[b], rng);
+    }
+    const auto views = deal_material(
+        TripleKey::fixed_mask(kFixedSlot, kFixedVersion, conv.out_channels,
+                              conv.col_rows()),
+        0, 1, dealer_seed, kF);
+    mask = reconstruct(std::array<PartyShare, 3>{
+        views[0].aux[0], views[1].aux[0], views[2].aux[0]});
+  }
+
+  RingTensor expected(std::size_t b) const {
+    return matmul(w, batch_im2col(x[b], conv));
+  }
+};
+
+/// The serving pattern for a conv layer at every party: open
+/// F = W − B once, then two batches' one-sided products against it.
+FixedOperandRun run_fixed_conv(ThreePartyHarness& harness,
+                               const FixedConvFixture& fixture,
+                               testing::PartyTriples& dealer) {
+  FixedOperandRun run;
+  const ConvSpec& conv = fixture.conv;
+  harness.run([&](PartyContext& ctx) {
+    const auto index = static_cast<std::size_t>(ctx.party);
+    TripleStore& store = dealer[ctx.party];
+    FixedOperand operand;
+    operand.b = store.fixed_mask(kFixedSlot, kFixedVersion, conv.out_channels,
+                                 conv.col_rows());
+    operand.f = open_value(ctx, fixture.w_views[index] - operand.b);
+    run.f[index] = operand.f;
+    for (std::size_t b = 0; b < 2; ++b) {
+      run.products[b][index] = sec_conv_bt_fixed(
+          ctx, fixture.x_views[b][index], operand,
+          store.fixed_conv_triple(kFixedSlot, kFixedVersion, kConvRows, conv),
+          conv);
+    }
+  });
+  return run;
+}
+
+TEST(SecConvBtFixedTest, ProductsMatchPlaintextAndOpenOnlyTheImageMask) {
+  ThreePartyHarness harness;
+  FixedConvFixture fixture(31, 890);
+  testing::PartyTriples dealer(890, kF);
+  const FixedOperandRun run = run_fixed_conv(harness, fixture, dealer);
+  for (std::size_t party = 0; party < 3; ++party) {
+    EXPECT_EQ(run.f[party], fixture.w - fixture.mask);
+  }
+  for (std::size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(reconstruct(run.products[b]), fixture.expected(b))
+        << "batch " << b;
+  }
+  // One opening for F, then one image-shaped E per product.
+  EXPECT_EQ(harness.contexts[0].detections.opens, 3u);
+  EXPECT_EQ(harness.contexts[0].detections.values_opened, 3u);
+}
+
+/// Parameter: the Byzantine party.
+class SecConvFixedByzantineTest : public ::testing::TestWithParam<int> {
+ protected:
+  /// Runs the conv serving pattern with the Byzantine party corrupting
+  /// its shares in opening `target`; honest parties must adopt the
+  /// true F, reconstruct exact products and record the attack.
+  void expect_outvoted(int target) {
+    const int byzantine = GetParam();
+    ThreePartyHarness harness;
+    CorruptOneOpening adversary(target);
+    harness.contexts[static_cast<std::size_t>(byzantine)].adversary =
+        &adversary;
+    FixedConvFixture fixture(32, 891);
+    testing::PartyTriples dealer(891, kF);
+    const FixedOperandRun run = run_fixed_conv(harness, fixture, dealer);
+
+    for (int party = 0; party < 3; ++party) {
+      if (party != byzantine) {
+        EXPECT_EQ(run.f[static_cast<std::size_t>(party)],
+                  fixture.w - fixture.mask)
+            << "honest party " << party << " adopted a corrupted F";
+        EXPECT_GT(harness.contexts[static_cast<std::size_t>(party)]
+                      .detections.events.size(),
+                  0u)
+            << "party " << party << " saw no anomaly";
+      }
+    }
+    for (std::size_t b = 0; b < 2; ++b) {
+      for (int set = 0; set < kNumSets; ++set) {
+        const int p1 = holder_of_primary(set);
+        const int p2 = holder_of_second(set);
+        if (p1 == byzantine || p2 == byzantine) {
+          continue;
+        }
+        EXPECT_EQ(run.products[b][static_cast<std::size_t>(p1)].primary +
+                      run.products[b][static_cast<std::size_t>(p2)].second,
+                  fixture.expected(b))
+            << "batch " << b << " set " << set;
+      }
+    }
+  }
+};
+
+TEST_P(SecConvFixedByzantineTest, CorruptedShareOfFIsOutvoted) {
+  expect_outvoted(/*target=*/0);
+}
+
+TEST_P(SecConvFixedByzantineTest, CorruptedShareOfEIsOutvoted) {
+  expect_outvoted(/*target=*/1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Parties, SecConvFixedByzantineTest,
                          ::testing::Values(0, 1, 2));
 
 TEST(SecMulBtTest, ChainedMultiplicationsStayAccurate) {

@@ -4,6 +4,7 @@
 // crash degradations at the serving edge.
 #include <atomic>
 #include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/actors.hpp"
 #include "core/engine.hpp"
+#include "core/triple_pipeline.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batch_queue.hpp"
@@ -309,24 +311,24 @@ TEST(ServeSessionTest, CoalescesConcurrentRequestsIntoBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-operand serving (DESIGN.md §9): each dense layer's F = W − B
-// is opened once per server start, batches open only their inputs'
-// masks.
+// Fixed-operand serving (DESIGN.md §9): each dense and conv layer's
+// F = W − B is opened once per server start, batches open only their
+// inputs' masks.
 
-class ServeFixedOperandTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ServeFixedOperandTest, LabelsMatchEngineInferOnTheBenchRowPool) {
-  // The repository benchmark's row pool and model: synthetic MNIST
-  // (seed 42, 64 test rows) through the Table I CNN, malicious mode,
-  // default local truncation.
+/// Serves the repository benchmark's row pool (synthetic MNIST, seed
+/// 42, 64 test rows) through `spec` in malicious mode with default
+/// local truncation, at most `batch_rows` rows per batch, and expects
+/// TrustDdlEngine::infer's labels for every row.
+void expect_served_labels_match_infer(const nn::ModelSpec& spec,
+                                      std::size_t batch_rows) {
   constexpr std::size_t kRows = 64;
   const data::Dataset pool = query_split(kRows).test;
 
   SessionConfig config;
-  config.spec = nn::mnist_cnn_spec();
+  config.spec = spec;
   config.engine = fast_engine();
   config.engine.seed = 7;
-  config.serve.max_batch_rows = GetParam();
+  config.serve.max_batch_rows = batch_rows;
   config.serve.batch_window = milliseconds(50);
   config.client.deadline = milliseconds(120000);
   config.client.response_timeout = milliseconds(120000);
@@ -351,11 +353,170 @@ TEST_P(ServeFixedOperandTest, LabelsMatchEngineInferOnTheBenchRowPool) {
     EXPECT_EQ(results[r].labels[0], expected[r]) << "row " << r;
   }
   EXPECT_EQ(session.scheduler.batched_rows, kRows);
-  EXPECT_GE(session.scheduler.batches, kRows / GetParam());
+  EXPECT_GE(session.scheduler.batches, kRows / batch_rows);
+}
+
+class ServeFixedOperandTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServeFixedOperandTest, LabelsMatchEngineInferOnTheBenchRowPool) {
+  expect_served_labels_match_infer(nn::mnist_cnn_spec(), GetParam());
+}
+
+TEST_P(ServeFixedOperandTest, PoolCnnLabelsMatchEngineInferOnTheBenchRowPool) {
+  // Stride-1 conv (im2col 25 x 784 per row) followed by max pooling.
+  expect_served_labels_match_infer(nn::mnist_cnn_pool_spec(), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchRows, ServeFixedOperandTest,
                          ::testing::Values(1, 3, 8));
+
+// Exact per-batch costs of fixed-operand serving.  Every opening goes
+// through mpc::OpenBatch (open.batch.elements) and every dealt entry
+// through the TripleStore (triple.elements.consumed), so both counters
+// must equal a closed form: one start-up term — the weight masks B of
+// every dense and conv layer, and their F = W − B openings — plus a
+// term linear in the batch's rows.  The in-process session sums them
+// over the three parties.
+
+struct ServeElements {
+  std::uint64_t opened = 0;
+  std::uint64_t dealt = 0;
+  std::uint64_t misses = 0;
+};
+
+ServeElements serve_elements(const obs::MetricsSnapshot& snapshot) {
+  return {snapshot.counter_sum("open.batch.elements"),
+          snapshot.counter_sum("triple.elements.consumed"),
+          snapshot.counter_sum("triple.store.miss")};
+}
+
+struct ServeCostModel {
+  std::uint64_t startup;  ///< Σ |W| over dense and conv layers
+  std::uint64_t opened_per_row;
+  std::uint64_t dealt_per_row;
+};
+
+/// mnist_cnn, per row: conv opens X − M (784) and is dealt M (784) and
+/// C (5·196); each ReLU over n features opens t − a, α − b and β (3n)
+/// and is dealt t, a, b, c (4n), n = 980 then 100; each dense layer
+/// opens X − A (980, 100) and is dealt A and C (980 + 100, 100 + 10).
+/// Start-up: W of conv (5·25), FC 980→100 and FC 100→10.
+constexpr ServeCostModel kCnnCost{
+    5 * 25 + 980 * 100 + 100 * 10,
+    784 + 3 * 980 + 980 + 3 * 100 + 100,
+    (784 + 5 * 196) + 4 * 980 + (980 + 100) + 4 * 100 + (100 + 10)};
+
+/// mnist_cnn_pool, per row: the stride-1 conv is dealt C [5, 784]; the
+/// ReLU runs over 3920 features; the 2x2 max pool's tournament makes
+/// three comparisons over 980 pools (opening 3·980, dealt 4·980 each);
+/// the dense tail is mnist_cnn's.  Same start-up weights.
+constexpr ServeCostModel kCnnPoolCost{
+    5 * 25 + 980 * 100 + 100 * 10,
+    784 + 3 * 3920 + 3 * (3 * 980) + 980 + 3 * 100 + 100,
+    (784 + 5 * 784) + 4 * 3920 + 3 * (4 * 980) + (980 + 100) + 4 * 100 +
+        (100 + 10)};
+
+// The figures an 8-row serve_burst batch of the Table I CNN moves.
+static_assert(8 * kCnnCost.opened_per_row == 40832);
+static_assert(8 * kCnnCost.dealt_per_row == 58192);
+
+void expect_elements_linear_in_rows(const nn::ModelSpec& spec,
+                                    const ServeCostModel& cost) {
+  for (const std::size_t rows : {1, 3, 8}) {
+    obs::set_metrics_enabled(true);
+    obs::MetricsRegistry::global().reset();
+    SessionConfig config;
+    config.spec = spec;
+    config.engine = fast_engine();
+    config.serve.max_batch_rows = 8;
+    config.serve.batch_window = milliseconds(10);
+    InferenceResult result;
+    const SessionResult session = run_serving_session(
+        config, [&](int, InferenceClient& client) {
+          result = client.infer(query_split(rows).test.images);
+        });
+    const ServeElements measured =
+        serve_elements(obs::MetricsRegistry::global().snapshot());
+    obs::set_metrics_enabled(false);
+
+    ASSERT_EQ(result.status, Status::kOk) << rows << " rows";
+    ASSERT_EQ(session.scheduler.batches, 1u) << rows << " rows";
+    EXPECT_EQ(measured.opened, 3 * (cost.startup + rows * cost.opened_per_row))
+        << rows << " rows";
+    EXPECT_EQ(measured.dealt, 3 * (cost.startup + rows * cost.dealt_per_row))
+        << rows << " rows";
+  }
+}
+
+TEST(ServeCostTest, CnnOpensAndIsDealtAClosedFormPerBatch) {
+  expect_elements_linear_in_rows(nn::mnist_cnn_spec(), kCnnCost);
+}
+
+TEST(ServeCostTest, PoolCnnOpensAndIsDealtAClosedFormPerBatch) {
+  expect_elements_linear_in_rows(nn::mnist_cnn_pool_spec(), kCnnPoolCost);
+}
+
+/// With prefetch on, a batch after InferenceServer's plan_step pops
+/// only prefetched entries: profile_step_demand names exactly the keys
+/// and counts the layers pop.
+void expect_planned_batch_never_misses(const nn::ModelSpec& spec,
+                                       const ServeCostModel& cost) {
+  constexpr std::size_t kBatchRows = 8;
+  const std::size_t planned =
+      core::profile_step_demand(spec, kBatchRows, mpc::TruncationMode::kLocal,
+                                /*training=*/false, /*fixed_version=*/0)
+          .total();
+  std::size_t weight_layers = 0;
+  for (const nn::LayerSpec& layer : spec.layers) {
+    weight_layers += layer.kind == nn::LayerSpec::Kind::kDense ||
+                     layer.kind == nn::LayerSpec::Kind::kConv;
+  }
+  // Per party: the masks and the first batch on demand, then a refill
+  // to two planned batches.
+  const std::size_t produced_when_warm = 3 * (weight_layers + 3 * planned);
+  const data::Dataset rows = query_split(kBatchRows).test;
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::global().reset();
+  SessionConfig config;
+  config.spec = spec;
+  config.engine = fast_engine();
+  config.engine.triple_prefetch = true;
+  config.serve.max_batch_rows = kBatchRows;
+  config.serve.batch_window = milliseconds(10);
+  ServeElements first;
+  ServeElements second;
+  std::uint64_t produced = 0;
+  run_serving_session(config, [&](int, InferenceClient& client) {
+    ASSERT_EQ(client.infer(rows.images).status, Status::kOk);
+    // Every party plans two batches' worth after the first and fills
+    // it while idle; wait for all of it before the next request.
+    const auto deadline = Clock::now() + std::chrono::seconds(60);
+    while (obs::MetricsRegistry::global().snapshot().counter_sum(
+               "triple.produced.") < produced_when_warm &&
+           Clock::now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(5));
+    }
+    const obs::MetricsSnapshot warm = obs::MetricsRegistry::global().snapshot();
+    produced = warm.counter_sum("triple.produced.");
+    first = serve_elements(warm);
+    ASSERT_EQ(client.infer(rows.images).status, Status::kOk);
+    second = serve_elements(obs::MetricsRegistry::global().snapshot());
+  });
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(produced, produced_when_warm);
+  EXPECT_EQ(first.misses, 3 * (weight_layers + planned))
+      << "the first batch runs before any plan";
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_EQ(second.dealt - first.dealt, 3 * kBatchRows * cost.dealt_per_row);
+}
+
+TEST(ServeCostTest, CnnBatchAfterPlanStepNeverMissesThePrefetchedStore) {
+  expect_planned_batch_never_misses(nn::mnist_cnn_spec(), kCnnCost);
+}
+
+TEST(ServeCostTest, PoolCnnBatchAfterPlanStepNeverMissesThePrefetchedStore) {
+  expect_planned_batch_never_misses(nn::mnist_cnn_pool_spec(), kCnnPoolCost);
+}
 
 TEST(ServeFixedOperandVersionTest, NewModelGetsFreshMaskAndF) {
   // Two models under one dealing seed: distinct versions, so distinct

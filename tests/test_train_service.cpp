@@ -354,6 +354,7 @@ TEST(TrainServiceTest, StoreNeverHoldsFixedOperandMaterial) {
   EXPECT_GT(counter_value(snapshot, "triple.produced.matmul"), 0u);
   EXPECT_EQ(counter_value(snapshot, "triple.produced.fixed_mask"), 0u);
   EXPECT_EQ(counter_value(snapshot, "triple.produced.fixed_triple"), 0u);
+  EXPECT_EQ(counter_value(snapshot, "triple.produced.fixed_conv_triple"), 0u);
 }
 
 TEST(TrainServiceTest, MetricsLedgersBalance) {

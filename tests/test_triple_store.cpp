@@ -218,21 +218,119 @@ TEST(DerivedSeedTest, FixedTriplesMultiplyByTheLayersOneMask) {
                        .aux[0]));
 }
 
+/// A small conv with padding and stride: W [3, 2·3·3], P = 3x2 pixels.
+ConvSpec small_conv() {
+  ConvSpec conv;
+  conv.in_channels = 2;
+  conv.in_height = 4;
+  conv.in_width = 3;
+  conv.out_channels = 3;
+  conv.kernel_h = 3;
+  conv.kernel_w = 3;
+  conv.pad = 1;
+  conv.stride = 2;
+  return conv;
+}
+
+TEST(DerivedSeedTest, FixedConvTriplesMultiplyTheLayersMaskByIm2colOfM) {
+  const ConvSpec conv = small_conv();
+  const auto masks = deal_material(
+      TripleKey::fixed_mask(3, 0xabc, conv.out_channels, conv.col_rows()), 0,
+      1, kSeed, kF);
+  const RingTensor mask =
+      reconstruct({masks[0].aux[0], masks[1].aux[0], masks[2].aux[0]});
+
+  const auto triples = deal_material(
+      TripleKey::fixed_conv_triple(3, 0xabc, /*rows=*/2, conv), 0, 3, kSeed,
+      kF);
+  RingTensor previous_m;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const RingTensor m = reconstruct({triples[0].triples[i].a,
+                                      triples[1].triples[i].a,
+                                      triples[2].triples[i].a});
+    const RingTensor c = reconstruct({triples[0].triples[i].c,
+                                      triples[1].triples[i].c,
+                                      triples[2].triples[i].c});
+    // M is dealt in image shape, not in its im2col expansion.
+    EXPECT_EQ(m.shape(), (Shape{2, 2 * 4 * 3})) << "entry " << i;
+    EXPECT_EQ(matmul(mask, batch_im2col(m, conv)), c) << "entry " << i;
+    EXPECT_TRUE(triples[0].triples[i].b.primary.values().empty());
+    EXPECT_NE(m, previous_m) << "entry " << i << " reuses M";
+    previous_m = m;
+  }
+}
+
+// --- Crafted conv keys: a party chooses the key it sends the owner ----
+
+/// The mnist_cnn conv key at 8 rows with one dim replaced.
+TripleKey conv_key_with(std::size_t dim, std::size_t value) {
+  ConvSpec conv;
+  conv.in_channels = 1;
+  conv.in_height = 28;
+  conv.in_width = 28;
+  conv.out_channels = 5;
+  conv.kernel_h = 5;
+  conv.kernel_w = 5;
+  conv.pad = 2;
+  conv.stride = 2;
+  TripleKey key = TripleKey::fixed_conv_triple(0, 7, 8, conv);
+  key.dims.at(dim) = value;
+  return key;
+}
+
+void expect_rejected(const TripleKey& key) {
+  EXPECT_THROW((void)material_entry_values(key), InvalidArgument);
+  EXPECT_THROW((void)deal_material(key, 0, 1, kSeed, kF), InvalidArgument);
+}
+
+TEST(FixedConvKeyTest, EntrySizeIsTheImageMaskPlusTheProduct) {
+  // 8 rows of the Table I conv: M [8, 784] and C [5, 8·196].
+  EXPECT_EQ(material_entry_values(conv_key_with(2, 8)),
+            8u * 784u + 5u * 8u * 196u);
+}
+
+TEST(FixedConvKeyTest, RejectsStrideZero) {
+  expect_rejected(conv_key_with(10, 0));
+}
+
+TEST(FixedConvKeyTest, RejectsKernelLargerThanThePaddedInput) {
+  expect_rejected(conv_key_with(7, 33));  // 28 + 2·2 = 32 rows padded
+  expect_rejected(conv_key_with(8, 33));
+}
+
+TEST(FixedConvKeyTest, RejectsZeroChannels) {
+  expect_rejected(conv_key_with(3, 0));
+  expect_rejected(conv_key_with(6, 0));
+}
+
+TEST(FixedConvKeyTest, RejectsDimsWhoseProductOverflows) {
+  expect_rejected(conv_key_with(2, std::size_t{1} << 60));  // rows
+  expect_rejected(conv_key_with(3, std::size_t{1} << 60));  // channels
+  expect_rejected(conv_key_with(9, ~std::size_t{0}));        // 2·pad
+  TripleKey short_key = conv_key_with(2, 8);
+  short_key.dims.pop_back();
+  expect_rejected(short_key);
+}
+
 TEST(TripleStoreTest, DiskRoundTripRestoresFixedOperandStreams) {
   const std::string path = ::testing::TempDir() + "triple_store_fixed.bin";
   std::remove(path.c_str());
   const std::uint64_t provenance = 0xfeedULL;
   const TripleKey mask_key = TripleKey::fixed_mask(2, 0x5eed, 4, 3);
   const TripleKey triple_key = TripleKey::fixed_triple(2, 0x5eed, 2, 4, 3);
+  const ConvSpec conv = small_conv();
+  const TripleKey conv_key = TripleKey::fixed_conv_triple(0, 0x5eed, 2, conv);
 
   {
     DealerBackend backend(kSeed, kF, /*party=*/1);
     TripleStore store(backend, /*party=*/1);
     store.demand(mask_key, 1);
     store.demand(triple_key, 4);
+    store.demand(conv_key, 3);
     store.refill_toward_targets(8);
     (void)store.fixed_mask(2, 0x5eed, 4, 3);
     (void)store.fixed_triple(2, 0x5eed, 2, 4, 3);  // consume entry 0
+    (void)store.fixed_conv_triple(0, 0x5eed, 2, conv);
     store.save(path, provenance);
   }
 
@@ -250,6 +348,14 @@ TEST(TripleStoreTest, DiskRoundTripRestoresFixedOperandStreams) {
     EXPECT_EQ(encode_fixed(restored.fixed_triple(2, 0x5eed, 2, 4, 3)),
               encode_fixed(dealt[1].triples[0]))
         << "entry " << i;
+  }
+  // The conv stream, keyed by its eleven dims, resumes the same way.
+  EXPECT_EQ(restored.depth(conv_key), 2u);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    const auto dealt = deal_material(conv_key, i, 1, kSeed, kF);
+    EXPECT_EQ(encode_fixed(restored.fixed_conv_triple(0, 0x5eed, 2, conv)),
+              encode_fixed(dealt[1].triples[0]))
+        << "conv entry " << i;
   }
   // A restarted server re-fetches its mask past the cursor: same B.
   EXPECT_EQ(encode(restored.fixed_mask(2, 0x5eed, 4, 3)),
