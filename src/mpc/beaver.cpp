@@ -62,6 +62,23 @@ std::size_t checked_add(std::size_t a, std::size_t b) {
   return a + b;
 }
 
+/// What dealing one conv entry costs, in values: M [rows, C·H·W] plus
+/// the product B·im2col(M), out·(C·kh·kw)·(rows·P) multiply-adds.  The
+/// product term also bounds B [out, C·kh·kw], im2col(M) [C·kh·kw,
+/// rows·P] and C [out, rows·P], as m·k·n bounds a matmul triple.
+std::size_t fixed_conv_work(std::size_t rows, const ConvSpec& conv) {
+  const std::size_t image = checked_mul(
+      rows, checked_mul(conv.in_channels,
+                        checked_mul(conv.in_height, conv.in_width)));
+  const std::size_t col_rows = checked_mul(
+      conv.in_channels, checked_mul(conv.kernel_h, conv.kernel_w));
+  const std::size_t col_cols = checked_mul(
+      rows, checked_mul(conv.out_height(), conv.out_width()));
+  const std::size_t product =
+      checked_mul(conv.out_channels, checked_mul(col_rows, col_cols));
+  return checked_add(image, product);
+}
+
 /// splitmix64 finalizer: the standard 64-bit avalanche mix.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -168,28 +185,13 @@ ConvSpec fixed_conv_spec(const TripleKey& key) {
     throw InvalidArgument(
         "fixed_conv_triple kernel is larger than the padded input");
   }
-  // Every tensor the dealer sizes from the key must fit in size_t: the
-  // mask B [out, C·kh·kw], M [rows, C·H·W] and C [out, rows·P].
-  const std::size_t rows = dims[2];
-  (void)checked_mul(conv.out_channels,
-                    checked_mul(conv.in_channels,
-                                checked_mul(conv.kernel_h, conv.kernel_w)));
-  (void)checked_add(
-      checked_mul(rows, checked_mul(conv.in_channels,
-                                    checked_mul(conv.in_height,
-                                                conv.in_width))),
-      checked_mul(conv.out_channels,
-                  checked_mul(rows, checked_mul(conv.out_height(),
-                                                conv.out_width()))));
+  (void)fixed_conv_work(dims[2], conv);
   return conv;
 }
 
 std::size_t material_entry_values(const TripleKey& key) {
   if (key.kind == TripleKind::kFixedConvTriple) {
-    const ConvSpec conv = fixed_conv_spec(key);
-    const std::size_t rows = key.dims[2];
-    return rows * conv.in_channels * conv.in_height * conv.in_width +
-           conv.out_channels * rows * conv.col_cols();
+    return fixed_conv_work(key.dims[2], fixed_conv_spec(key));
   }
   const std::size_t skip = is_fixed_operand_kind(key.kind) ? 2 : 0;
   std::size_t values = 1;

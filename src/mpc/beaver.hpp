@@ -156,14 +156,16 @@ struct TripleKey {
 /// The conv geometry a kFixedConvTriple key carries.  Throws
 /// InvalidArgument — before any division or allocation — unless the
 /// key has all eleven dims, no zero size or stride, a kernel that fits
-/// the padded input, and entry sizes that fit in size_t: a party
+/// the padded input, and a dealer cost that fits in size_t: a party
 /// chooses the key it sends to the owner.
 ConvSpec fixed_conv_spec(const TripleKey& key);
 
-/// Values in one entry of `key`'s stream, by its shape dims (slot and
-/// version excluded): a bound for request validation.  Exact for
-/// kFixedConvTriple (rows·C·H·W + out·rows·P); throws InvalidArgument
-/// when the dims are invalid or their product overflows.
+/// What dealing one entry of `key`'s stream costs, in values, by its
+/// shape dims (slot and version excluded): a bound for request
+/// validation that covers every tensor the dealer builds and its
+/// multiply-adds.  The product of the dims (m·k·n for a matmul); for
+/// kFixedConvTriple rows·C·H·W + out·(C·kh·kw)·(rows·P).  Throws
+/// InvalidArgument when the dims are invalid or the value overflows.
 std::size_t material_entry_values(const TripleKey& key);
 
 struct TripleKeyHash {

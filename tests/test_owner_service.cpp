@@ -125,6 +125,16 @@ TEST(OwnerServiceTest, RejectsCraftedConvKeysAndKeepsServing) {
     key.dims[dim] = value;
     crafted.push_back(key);
   }
+  // One output pixel of a 1×1 image padded by 2^15, under a (2^16+1)²
+  // kernel: every size check passes, but dealing it would build a
+  // 2^32-value mask, so the fill bound refuses it.
+  ConvSpec padded;
+  padded.in_height = 1;
+  padded.in_width = 1;
+  padded.kernel_h = (std::size_t{1} << 16) + 1;
+  padded.kernel_w = padded.kernel_h;
+  padded.pad = std::size_t{1} << 15;
+  crafted.push_back(mpc::TripleKey::fixed_conv_triple(0, 7, 1, padded));
 
   ServiceHarness harness;
   std::atomic<bool> done{false};

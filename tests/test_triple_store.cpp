@@ -283,10 +283,27 @@ void expect_rejected(const TripleKey& key) {
   EXPECT_THROW((void)deal_material(key, 0, 1, kSeed, kF), InvalidArgument);
 }
 
-TEST(FixedConvKeyTest, EntrySizeIsTheImageMaskPlusTheProduct) {
-  // 8 rows of the Table I conv: M [8, 784] and C [5, 8·196].
+TEST(FixedConvKeyTest, EntryCostIsTheImageMaskPlusTheDealersProduct) {
+  // 8 rows of the Table I conv: M [8, 784] and B [5, 25] times
+  // im2col(M) [25, 8·196].
   EXPECT_EQ(material_entry_values(conv_key_with(2, 8)),
-            8u * 784u + 5u * 8u * 196u);
+            8u * 784u + 5u * 25u * 8u * 196u);
+}
+
+TEST(FixedConvKeyTest, EntryCostCountsAKernelThatOnlyPaddingFits) {
+  // A 1×1 image padded by 2^15 on each side under a (2^16+1)² kernel:
+  // one output pixel, yet the dealer's mask B alone has (2^16+1)²
+  // values, so the cost must exceed the owner's 2^28 fill bound.
+  const std::size_t kernel = (std::size_t{1} << 16) + 1;
+  ConvSpec conv;
+  conv.in_height = 1;
+  conv.in_width = 1;
+  conv.kernel_h = kernel;
+  conv.kernel_w = kernel;
+  conv.pad = std::size_t{1} << 15;
+  const TripleKey key = TripleKey::fixed_conv_triple(0, 7, 1, conv);
+  EXPECT_EQ(material_entry_values(key), 1 + kernel * kernel);
+  EXPECT_GT(material_entry_values(key), std::size_t{1} << 28);
 }
 
 TEST(FixedConvKeyTest, RejectsStrideZero) {
